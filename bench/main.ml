@@ -14,8 +14,9 @@
    3. runs the explore-scale section: wall-clock measurements of the
       parallel packed explorer on the exhaustive frontier instances
       (K4-K6 quick; C6 full-model and K7 at full size).  Each instance
-      runs three legs — jobs=1 Serial, jobs=4 Synchronous (level
-      barrier) and jobs=4 Asynchronous (κ-overlapped pipeline) — all
+      runs three legs — jobs=1 Serial, jobs=4 sync (the κ = 1,
+      unbounded-window alias: level barrier) and jobs=4 async
+      (κ-overlapped pipeline) — all
       three reports are asserted identical, and the per-level barrier
       wait of the two parallel legs is compared off the explorer.wait_ns
       obs counter (also recorded under "explore_scale" in the --json
@@ -74,6 +75,10 @@ module Obs = Asyncolor_obs.Obs
 module Oclock = Asyncolor_obs.Clock
 module Trace_export = Asyncolor_obs.Trace_export
 module Executor = Asyncolor_util.Executor
+
+(* The level-synchronous leg: [--exec-policy sync], i.e. κ = 1 with an
+   unbounded window. *)
+let sync_policy = Executor.policy_of_string ~jobs:4 "sync"
 
 (* --- benchmark kernels, one per experiment --------------------------- *)
 
@@ -353,7 +358,7 @@ let run_explore_scale ~quick ~budget ~checkpoint ~obs ~traced_policy ~kappa =
           time ~policy:Executor.Serial ~jobs:1 ~leg_obs:Obs.disabled
         in
         let rs, dts, wait_s, levels, _, _ =
-          time ~policy:Executor.Synchronous ~jobs:4 ~leg_obs:(leg_obs "sync")
+          time ~policy:sync_policy ~jobs:4 ~leg_obs:(leg_obs "sync")
         in
         let ra, dta, wait_a, _, overlap, _ =
           time
@@ -710,7 +715,7 @@ let run_churn_scale ~quick ~budget =
             (r, Int64.to_float (Int64.sub (Oclock.monotonic ()) t0) /. 1e9)
           in
           let r1, dt1 = time ~policy:Executor.Serial ~jobs:1 in
-          let r4, dt4 = time ~policy:Executor.Synchronous ~jobs:4 in
+          let r4, dt4 = time ~policy:sync_policy ~jobs:4 in
           if r1 <> r4 then
             failwith (name ^ ": serial and sync churn reports differ (determinism bug)");
           if r1.violations <> [] then
@@ -776,7 +781,7 @@ let run_chaos_overhead ~quick ~budget () =
   let time ~chaos =
     let t0 = Oclock.monotonic () in
     let r =
-      Exp.explore ~max_configs:2_000_000 ~jobs:2 ~policy:Executor.Synchronous
+      Exp.explore ~max_configs:2_000_000 ~jobs:2 ~policy:sync_policy
         ?budget ~chaos graph ~idents
     in
     (r, Int64.to_float (Int64.sub (Oclock.monotonic ()) t0) /. 1e9)

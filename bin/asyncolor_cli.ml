@@ -197,11 +197,12 @@ let exec_policy_arg =
     & info [ "exec-policy" ] ~docv:"POLICY"
         ~doc:
           "Execution policy for the parallel subcommands: $(b,auto) (serial \
-           when $(b,--jobs) is 1, synchronous otherwise), $(b,serial), \
-           $(b,sync) (level-synchronous barrier), or $(b,async) \
-           (\xCE\xBA-overlapped pipeline, bounded in-flight work).  The report on \
-           stdout is byte-identical under every policy; only wall clock \
-           changes.")
+           when $(b,--jobs) is 1, async otherwise), $(b,serial) (inline on \
+           the calling domain), $(b,async) (\xCE\xBA-overlapped pipeline, \
+           bounded in-flight work), or $(b,sync) (an alias for async with \
+           \xCE\xBA = 1 and an unbounded window: a level-synchronous barrier).  \
+           The report on stdout is byte-identical under every policy; only \
+           wall clock changes.")
 
 let kappa_arg =
   Arg.(
@@ -213,8 +214,8 @@ let kappa_arg =
            BFS level k+1 may start once a K fraction of level k has merged \
            (clamped to [0,1]; 1 reproduces the synchronous barrier).")
 
-(* "auto" maps to [None]: the library derives Serial/Synchronous from
-   [jobs], exactly the pre-policy behaviour. *)
+(* "auto" maps to [None]: the library picks
+   [Executor.default_policy ~jobs]. *)
 let make_policy ~policy ~kappa ~jobs =
   match policy with
   | "auto" -> None

@@ -232,17 +232,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       (E.key_of_data cands.(bi), rep, !distinct, bi)
     end
 
-  (* The packed configuration graph both builders produce: flat int
-     stores only — dense ids, CSR adjacency, parent pointers as (pred id,
-     activation mask).  The boxed configurations themselves are not part
-     of it; the parallel builder keeps only one frontier of them alive at
-     a time.  Adjacency is accessed through [adj_get] so a spilled run
-     can reassemble it into off-heap storage: entries are
-     (mask, vid) pairs at [adj_stride = 2], or (mask, vid, perm) triples
-     at stride 3 under symmetry reduction, where [perm] indexes [group]
-     with the automorphism [sigma] such that the true successor is the
-     stored one permuted by [sigma] — the translation the worst-case DP
-     needs to stay exact on the quotient. *)
+  (* The packed configuration graph both implementations produce: flat
+     int stores only — dense ids, CSR adjacency, parent pointers as (pred
+     id, activation mask).  The boxed configurations themselves are not
+     part of it; the packed builder keeps only the pending ones alive.
+     Adjacency is accessed through [adj_get] so a spilled run can
+     reassemble it into off-heap storage: entries are (mask, vid) pairs
+     at [adj_stride = 2], or (mask, vid, perm) triples at stride 3 under
+     symmetry reduction, where [perm] indexes [group] with the
+     automorphism [sigma] such that the true successor is the stored one
+     permuted by [sigma] — the translation the worst-case DP needs to
+     stay exact on the quotient. *)
   type packed = {
     total : int;
     transitions : int;
@@ -513,12 +513,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
   (* --- crash-safe packed exploration: shared state --------------------- *)
 
-  (* Everything the two packed builders mutate, gathered in one record so
-     a checkpoint can snapshot it and a resumed run can pick it back up.
-     The boxed configurations are *not* part of it: each builder keeps its
-     own pending container (FIFO queue, or frontier arrays whose
-     concatenation is the same order), which is the only other state a
-     checkpoint has to persist. *)
+  (* Everything the packed builder mutates, gathered in one record so a
+     checkpoint can snapshot it and a resumed run can pick it back up.
+     The boxed configurations are *not* part of it: the builder keeps the
+     pending ones in a FIFO ring, the only other state a checkpoint has
+     to persist. *)
   type bfs_state = {
     s_parent_pred : int Vec.t;
     s_parent_mask : int Vec.t;
@@ -561,7 +560,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Vec.push st.s_adj_off 0;
     st
 
-  (* Exploration parameters threaded through both packed builders. *)
+  (* Exploration parameters threaded through the packed builder. *)
   type params = {
     mode : [ `All_subsets | `Singletons ];
     max_configs : int;
@@ -669,13 +668,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      container.  Intern-table keys are stored as their packed int payloads
      ([E.key_data]) indexed by dense id and rebuilt with [E.key_of_data]
      — the hash is recomputed on load, never trusted.  [ck_pending] holds
-     the interned-but-unexpanded configurations in FIFO order (for the
-     pipelined builder: the ring's [lo, hi) window, whose positions are
-     the stored ids — a contiguous slice of that same order).  Both
-     builders expand pending entries in stored order and assign dense ids
-     in expansion order, so a resumed run — under any [jobs] value or
-     policy — produces the same report, byte for byte, as one that was
-     never interrupted. *)
+     the interned-but-unexpanded configurations in FIFO order: the ring's
+     [lo, hi) window, whose positions are the stored ids.  The builder
+     expands pending entries in stored order and assigns dense ids in
+     expansion order, so a resumed run — under any [jobs] value or policy
+     — produces the same report, byte for byte, as one that was never
+     interrupted. *)
   type ckpt = {
     ck_protocol : string;
     ck_graph : Asyncolor_topology.Graph.t;
@@ -746,34 +744,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Tbl.iter (fun k id -> a.(id) <- E.key_data k) tbl;
     a
 
-  (* --- packed sequential BFS: the jobs=1 fast path --------------------- *)
-
-  (* Same discovery order as [explore_reference] (FIFO queue, subsets in
-     [masks_of] order) and same packed output as the level-synchronous
-     builder below, without the per-level batching: configurations are
-     interned through their packed keys in one [Key_tbl], activation sets
-     stay bitmasks end-to-end, and a configuration is dropped as soon as
-     it has been expanded (only keys are retained), which is what keeps
-     multi-million-configuration runs inside memory.
-
-     The loop is boundary-instrumented: before expanding each queue entry
-     it may write a periodic checkpoint (pending = the current queue) and
-     polls the stop callback and resource budget.  On a hit it writes a
-     final checkpoint while the queue is still intact, then degrades
-     exactly like the [max_configs] cap: pending configurations that still
-     have working processes mark the exploration incomplete, and every
-     unexpanded entry keeps an empty adjacency row. *)
-  (* Close the adjacency tail as a spill level if it crossed the
-     threshold; [persist] runs the actual write (inline here, possibly a
-     background executor task in the pipelined builder).  Called only at
-     entry boundaries, where every pushed word is final. *)
-  let maybe_seal ~params st persist =
-    match params.spill with
-    | None -> ()
-    | Some _ -> (
-        match Level_log.seal st.s_adj_data with
-        | None -> ()
-        | Some (level, data) -> persist level data)
+  (* --- packed BFS helpers ---------------------------------------------- *)
 
   let spill_write ~params sp level data =
     let bytes = Spill.write sp ~level data in
@@ -806,129 +777,28 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         true
     | _ -> false
 
-  let run_seq ~params ~graph ~idents st tbl queue =
-    let engine = E.create graph ~idents in
-    let last_ck = ref st.s_next_id in
-    let ticks = ref 0 in
-    let io_error = ref None in
-    let maybe_checkpoint ~force () =
-      match params.checkpoint with
-      | Some (path, every)
-        when (force || st.s_next_id - !last_ck >= max 1 every)
-             && !io_error = None -> (
-          match
-            save_ckpt ~params ~graph ~idents st
-              ~keys:(fun () -> keys_of_key_tbl tbl st.s_next_id)
-              ~pending:(fun () -> Array.of_seq (Queue.to_seq queue))
-              path
-          with
-          | () ->
-              last_ck := st.s_next_id;
-              Diag.printf "checkpoint: %d configs, %d pending -> %s\n"
-                st.s_next_id (Queue.length queue) path
-          | exception e when io_failed e ->
-              note_io_error io_error "checkpoint save" e)
-      | _ -> ()
-    in
-    let stopped = ref false in
-    while (not (Queue.is_empty queue)) && not !stopped do
-      maybe_checkpoint ~force:false ();
-      if should_stop ~params st || !io_error <> None then stopped := true
-      else begin
-        let uid, config = Queue.pop queue in
-        let orbit_u =
-          if params.symmetry then Vec.get st.s_orbit uid else 1
-        in
-        let um = E.config_unfinished_mask config in
-        let masks = if um = 0 then [||] else masks_of params.mode um in
-        Array.iter
-          (fun mask ->
-            if st.s_next_id < params.max_configs then begin
-              E.restore engine config;
-              E.activate_mask engine mask;
-              let succ = E.snapshot engine in
-              let t0 = if params.symmetry then Obs.now params.octx.o else 0L in
-              let key, rep, orbit, pi = canonicalize params.group succ in
-              if params.symmetry then begin
-                Obs.Counter.add params.octx.oc_canon_ns
-                  (Int64.to_int (Int64.sub (Obs.now params.octx.o) t0));
-                if pi <> 0 then Obs.Counter.incr params.octx.oc_orbit_hits;
-                st.s_exp_transitions <- st.s_exp_transitions + orbit_u
-              end;
-              st.s_transitions <- st.s_transitions + 1;
-              Obs.Counter.incr params.octx.oc_transitions;
-              let vid, fresh =
-                match Tbl.find_opt tbl key with
-                | Some id -> (id, false)
-                | None ->
-                    let id = register_st ~params st rep ~orbit in
-                    Queue.add (id, rep) queue;
-                    Tbl.add tbl key id;
-                    (id, true)
-              in
-              Level_log.push st.s_adj_data mask;
-              Level_log.push st.s_adj_data vid;
-              if params.symmetry then Level_log.push st.s_adj_data pi;
-              if fresh then begin
-                Vec.set st.s_parent_pred vid uid;
-                Vec.set st.s_parent_mask vid mask;
-                if pi <> 0 then E.restore engine rep;
-                safety_check ~params st engine vid rep
-              end
-            end
-            else st.s_complete <- false)
-          masks;
-        Vec.push st.s_adj_off (Level_log.length st.s_adj_data);
-        (* A write that exhausts its retries stops the run at the next
-           boundary; the level's data stays resident in the spill store,
-           so the analysis reassembly below still sees every word. *)
-        (try
-           maybe_seal ~params st (fun level data ->
-               match params.spill with
-               | Some (sp, _) -> spill_write ~params sp level data
-               | None -> ())
-         with e when io_failed e -> note_io_error io_error "spill write" e);
-        sample_heap ~params ticks
-      end
-    done;
-    if !stopped then begin
-      maybe_checkpoint ~force:true ();
-      Queue.iter
-        (fun (_, c) ->
-          if E.config_unfinished_mask c <> 0 then st.s_complete <- false)
-        queue;
-      Queue.iter
-        (fun _ -> Vec.push st.s_adj_off (Level_log.length st.s_adj_data))
-        queue
-    end;
-    if !io_error <> None then st.s_complete <- false;
-    packed_of_state ~params st
+  (* One expansion engine per domain, created on a domain's first
+     expansion of a run.  The slot belongs to the functor application and
+     is tagged with the run, so a domain holds at most one engine however
+     many runs it serves. *)
+  let engine_slot : (unit ref * E.t) option Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> None)
 
-  let spill_threshold_of params = Option.map snd params.spill
+  let domain_engine run graph ~idents =
+    match Domain.DLS.get engine_slot with
+    | Some (r, e) when r == run -> e
+    | _ ->
+        let e = E.create graph ~idents in
+        Domain.DLS.set engine_slot (Some (run, e));
+        e
 
-  let explore_seq ~params graph ~idents =
-    let st = fresh_state ?spill_threshold:(spill_threshold_of params) () in
-    let tbl = Tbl.create ~shards:16 1024 in
-    let queue = Queue.create () in
-    let engine = E.create graph ~idents in
-    let initial = E.snapshot engine in
-    (* The all-asleep root is fixed by every ident-preserving
-       automorphism (orbit size 1), so canonicalizing it is a no-op — but
-       going through [canonicalize] keeps the invariant that every
-       interned key is canonical without a special case. *)
-    let key, initial, orbit, _ = canonicalize params.group initial in
-    let root_id = register_st ~params st initial ~orbit in
-    Queue.add (root_id, initial) queue;
-    Tbl.add tbl key root_id;
-    safety_check ~params st engine root_id initial;
-    run_seq ~params ~graph ~idents st tbl queue
+  (* --- the packed BFS: expansion futures, FIFO merge -------------------- *)
 
-  (* --- pipelined parallel BFS: async expansion, FIFO merge ------------- *)
-
-  (* The parallel builder is a software pipeline over the executor.  The
-     pending configurations — interned but not yet expanded — live in a
-     FIFO {!Ring} whose absolute positions {e are} their dense ids, and
-     the loop runs two cursors over it:
+  (* The one packed builder — fresh or resumed runs, any [jobs], any
+     policy — is a software pipeline over the executor.  The pending
+     configurations — interned but not yet expanded — live in a FIFO
+     {!Ring} whose absolute positions {e are} their dense ids, and the
+     loop runs two cursors over it:
 
      - {e Submission} ([submit_pos], runs ahead): hand pending entries to
        the executor as expansion futures.  A task restores a
@@ -940,10 +810,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
      - {e Merge} ([Ring.lo pend], the completion stream): await the
        {e head} future — strictly FIFO, regardless of completion order —
-       and fold its candidates into the packed state exactly as the
-       sequential builder would: intern through one [Key_tbl], assign
-       dense ids in candidate order, record adjacency/parents, run the
-       safety checks, apply the [max_configs] cap.  Ids, parents,
+       and fold its candidates into the packed state in BFS order: intern
+       through one [Key_tbl], assign dense ids in candidate order, record
+       adjacency/parents, run the safety checks, apply the [max_configs]
+       cap.  Ids, parents,
        adjacency, violation order and the cap all derive from this
        jobs- and steal-independent order, so the report is byte-identical
        for every [jobs] value, every policy, and the reference oracle.
@@ -953,38 +823,50 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      when the bound stalls a ready submission), and the κ gate decides
      when the {e next} BFS level may start expanding — a position past
      the current level boundary is submittable only once a κ fraction of
-     the current level has merged.  [Synchronous] is κ = 1 with an
-     unbounded window: the whole level in flight, full barrier between
-     levels — the old level-synchronous builder.  [Asynchronous {kappa}]
-     starts level k+1 expansions while the tail of level k is still
+     the current level has merged.  [Serial] runs each expansion inline
+     at submit with a window of 1, so the loop is a plain FIFO BFS:
+     expand the head, merge it.  The ["sync"] alias (κ = 1, unbounded
+     window) keeps the whole level in flight behind a full barrier.
+     κ < 1 starts level k+1 expansions while the tail of level k is still
      merging, which is where the barrier-wait time goes away (the
      ["explorer.wait_ns"] counter vs. the ["explorer.overlap_submits"]
      counter and ["exec.kappa_overlap"] gauge make the trade visible).
 
-     The merge boundary doubles as the crash-safety boundary, exactly
-     like the sequential builder's queue boundary: before merging each
-     entry the loop may write a periodic checkpoint (pending = the ring,
-     which {e is} the FIFO order the sequential builder would hold) and
-     polls the stop callback and resource budget — same degradation
-     contract, same checkpoint placement, byte-compatible files. *)
+     The merge boundary doubles as the crash-safety boundary: before
+     merging each entry the loop may write a periodic checkpoint
+     (pending = the ring, in FIFO order) and polls the stop callback and
+     resource budget; a hit ends the run as the [max_configs] cap does —
+     pending entries that still have working processes mark it
+     incomplete, and every unexpanded entry keeps an empty adjacency
+     row. *)
   let run_async ~params ~exec ~graph ~idents st tbl (pend : E.config Ring.t) =
     let octx = params.octx in
     let o = octx.o in
-    (* One private engine per domain, created lazily on first expansion
-       (the caller gets one too — it helps execute tasks while waiting). *)
-    let engine_key = Domain.DLS.new_key (fun () -> E.create graph ~idents) in
-    let check_engine = E.create graph ~idents in
+    let run = ref () in
+    let merge_engine = E.create graph ~idents in
     let check id config =
       (match params.check_config with
-      | Some _ -> E.restore check_engine config
+      | Some _ -> E.restore merge_engine config
       | None -> ());
-      safety_check ~params st check_engine id config
+      safety_check ~params st merge_engine id config
+    in
+    (* An expansion future carries each successor's (mask, key, orbit,
+       perm) but not the successor itself: most successors are already
+       interned, and carrying them would keep them alive until their
+       merge — long enough to be promoted to the major heap.  The merge
+       rebuilds the successor, canonical permutation applied, for the new
+       ones only. *)
+    let successor config mask pi =
+      E.restore merge_engine config;
+      E.activate_mask merge_engine mask;
+      let succ = E.snapshot merge_engine in
+      if pi = 0 then succ else E.config_permute succ params.group.(pi)
     in
     let expand config () =
       let um = E.config_unfinished_mask config in
       if um = 0 then [||]
       else begin
-        let eng = Domain.DLS.get engine_key in
+        let eng = domain_engine run graph ~idents in
         Array.map
           (fun mask ->
             E.restore eng config;
@@ -993,13 +875,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             (* Canonicalization runs inside the expansion task — on
                whichever domain stole it — which is safe because it is a
                pure function of the successor: the merge below sees the
-               same (key, rep, orbit, perm) whatever the schedule. *)
+               same (key, orbit, perm) whatever the schedule. *)
             let t0 = if params.symmetry then Obs.now params.octx.o else 0L in
-            let key, rep, orbit, pi = canonicalize params.group succ in
+            let key, _, orbit, pi = canonicalize params.group succ in
             if params.symmetry then
               Obs.Counter.add params.octx.oc_canon_ns
                 (Int64.to_int (Int64.sub (Obs.now params.octx.o) t0));
-            (mask, key, rep, orbit, pi))
+            (mask, key, orbit, pi))
           (masks_of params.mode um)
       end
     in
@@ -1007,8 +889,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
        save (which rereads closed levels) and before the final analysis
        reassembly.  A background write failure is latched into
        [spill_err] — lowest level wins, for a deterministic diagnostic —
-       and surfaces at the next merge boundary (satellite contract: the
-       run fails at the faulting seal, not at reassembly time). *)
+       and surfaces at the next merge boundary: the run fails at the
+       faulting seal, not at reassembly time.  Under [Serial] the write
+       runs inline, so the cut is always the entry after the seal. *)
     let spill_futs : unit Executor.future list ref = ref [] in
     let spill_err : (int * exn) option Atomic.t = Atomic.make None in
     let note_spill_err level e =
@@ -1064,7 +947,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     (* Futures for submitted-but-unmerged entries, same absolute
        positions as [pend]. *)
     let futs :
-        (int * E.key * E.config * int * int) array Executor.future option
+        (int * E.key * int * int) array Executor.future option
         Ring.t =
       Ring.create ~start:(Ring.lo pend) ~dummy:None ()
     in
@@ -1138,9 +1021,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         if !submit_pos < Ring.hi pend && !submit_pos - merge_pos >= window then
           Executor.note_backpressure exec;
         (* Merge the head entry — the sequential FIFO completion
-           stream.  The id-assignment below is the [run_seq] body,
-           verbatim, over the precomputed candidates. *)
+           stream. *)
         let uid = merge_pos in
+        let config = Ring.get pend uid in
         let orbit_u =
           if params.symmetry then Vec.get st.s_orbit uid else 1
         in
@@ -1153,7 +1036,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           (Int64.to_int (Int64.sub (Obs.now o) t0));
         Ring.drop futs;
         Array.iter
-          (fun (mask, key, rep, orbit, pi) ->
+          (fun (mask, key, orbit, pi) ->
             if st.s_next_id < params.max_configs then begin
               st.s_transitions <- st.s_transitions + 1;
               Obs.Counter.incr octx.oc_transitions;
@@ -1163,21 +1046,23 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               end;
               let vid, fresh =
                 match Tbl.find_opt tbl key with
-                | Some id -> (id, false)
+                | Some id -> (id, None)
                 | None ->
+                    let rep = successor config mask pi in
                     let id = register_st ~params st rep ~orbit in
                     Ring.push pend rep;
                     Tbl.add tbl key id;
-                    (id, true)
+                    (id, Some rep)
               in
               Level_log.push st.s_adj_data mask;
               Level_log.push st.s_adj_data vid;
               if params.symmetry then Level_log.push st.s_adj_data pi;
-              if fresh then begin
-                Vec.set st.s_parent_pred vid uid;
-                Vec.set st.s_parent_mask vid mask;
-                check vid rep
-              end
+              match fresh with
+              | Some rep ->
+                  Vec.set st.s_parent_pred vid uid;
+                  Vec.set st.s_parent_mask vid mask;
+                  check vid rep
+              | None -> ()
             end
             else st.s_complete <- false)
           cands;
@@ -1187,15 +1072,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
            is immutable, and level files are distinct, so the only
            ordering that matters — written-before-reread — is enforced by
            [drain_spills] at the checkpoint and analysis boundaries. *)
-        maybe_seal ~params st (fun level data ->
-            match params.spill with
-            | Some (sp, _) ->
+        (match params.spill with
+        | Some (sp, _) -> (
+            match Level_log.seal st.s_adj_data with
+            | Some (level, data) ->
                 spill_futs :=
                   Executor.submit exec (fun () ->
                       try spill_write ~params sp level data
                       with e when io_failed e -> note_spill_err level e)
                   :: !spill_futs
-            | None -> ());
+            | None -> ())
+        | None -> ());
         sample_heap ~params ticks;
         Ring.drop pend
       end
@@ -1204,8 +1091,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     if !stopped then begin
       (* In-flight futures are abandoned (the executor drains them on
          shutdown); the ring still holds every unexpanded entry, so the
-         final checkpoint and the truncation accounting see exactly what
-         the sequential builder's queue would hold. *)
+         final checkpoint and the truncation accounting see all of them. *)
       maybe_checkpoint ~force:true ();
       for p = Ring.lo pend to Ring.hi pend - 1 do
         if E.config_unfinished_mask (Ring.get pend p) <> 0 then
@@ -1220,19 +1106,26 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     if !io_error <> None then st.s_complete <- false;
     packed_of_state ~params st
 
-  let explore_async ~params ~policy ~jobs graph ~idents =
-    let st = fresh_state ?spill_threshold:(spill_threshold_of params) () in
+  let run_packed ~params ?policy ~jobs ~graph ~idents st tbl pend =
+    Executor.with_executor ~obs:params.octx.o ~chaos:params.chaos ?policy ~jobs
+      (fun exec -> run_async ~params ~exec ~graph ~idents st tbl pend)
+
+  let explore_packed ~params ?policy ~jobs graph ~idents =
+    let st = fresh_state ?spill_threshold:(Option.map snd params.spill) () in
     let tbl = Tbl.create ~shards:16 1024 in
     let engine = E.create graph ~idents in
     let initial = E.snapshot engine in
+    (* The all-asleep root is fixed by every ident-preserving
+       automorphism (orbit size 1), so canonicalizing it is a no-op — but
+       going through [canonicalize] keeps the invariant that every
+       interned key is canonical without a special case. *)
     let key, initial, orbit, _ = canonicalize params.group initial in
     let root_id = register_st ~params st initial ~orbit in
     Tbl.add tbl key root_id;
     safety_check ~params st engine root_id initial;
     let pend = Ring.create ~dummy:initial () in
     Ring.push pend initial;
-    Executor.with_executor ~obs:params.octx.o ~chaos:params.chaos ~policy ~jobs
-      (fun exec -> run_async ~params ~exec ~graph ~idents st tbl pend)
+    run_packed ~params ?policy ~jobs ~graph ~idents st tbl pend
 
   (* Callers that opt into chaos get the retry budget by default; without
      chaos (and without an explicit [retry]) every I/O primitive keeps its
@@ -1292,15 +1185,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               octx;
             }
           in
-          let policy =
-            match policy with
-            | Some p -> p
-            | None ->
-                if jobs <= 1 then Executor.Serial else Executor.Synchronous
-          in
-          (match policy with
-          | Executor.Serial -> explore_seq ~params graph ~idents
-          | policy -> explore_async ~params ~policy ~jobs graph ~idents)
+          explore_packed ~params ?policy ~jobs graph ~idents
     in
     finish_report ~octx ~n packed
 
@@ -1400,35 +1285,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Array.iteri
       (fun id kdata -> Tbl.add tbl (E.key_of_data kdata) id)
       c.ck_keys;
-    let policy =
-      match policy with
-      | Some p -> p
-      | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
+    (* Pending entries are a contiguous id slice in FIFO order (the
+       checkpoint contract), so the ring's absolute positions — the stored
+       ids — carry over directly. *)
+    let start =
+      if Array.length c.ck_pending = 0 then c.ck_next_id
+      else fst c.ck_pending.(0)
     in
-    let packed =
-      match policy with
-      | Executor.Serial ->
-          let queue = Queue.create () in
-          Array.iter (fun entry -> Queue.add entry queue) c.ck_pending;
-          run_seq ~params ~graph ~idents st tbl queue
-      | policy ->
-          (* Pending entries are a contiguous id slice in FIFO order (the
-             checkpoint contract), so the ring's absolute positions — the
-             stored ids — carry over directly. *)
-          let start =
-            if Array.length c.ck_pending = 0 then c.ck_next_id
-            else fst c.ck_pending.(0)
-          in
-          let dummy =
-            let engine = E.create graph ~idents in
-            E.snapshot engine
-          in
-          let pend = Ring.create ~start ~dummy () in
-          Array.iter (fun (_, cfg) -> Ring.push pend cfg) c.ck_pending;
-          Executor.with_executor ~obs ~chaos ~policy ~jobs (fun exec ->
-              run_async ~params ~exec ~graph ~idents st tbl pend)
-    in
-    finish_report ~octx ~n packed
+    let dummy = E.snapshot (E.create graph ~idents) in
+    let pend = Ring.create ~start ~dummy () in
+    Array.iter (fun (_, cfg) -> Ring.push pend cfg) c.ck_pending;
+    finish_report ~octx ~n
+      (run_packed ~params ?policy ~jobs ~graph ~idents st tbl pend)
 
   let pp_report ppf r =
     Format.fprintf ppf

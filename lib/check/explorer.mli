@@ -165,14 +165,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       [config_compare]), kept as the oracle for the differential tests.
 
       [jobs] (default 1, [`Hashcons] only) sets the number of domains
-      expanding configurations; [policy] the execution policy (default:
-      [Serial] when [jobs <= 1], else [Synchronous]).  [Serial] is the
-      in-line sequential builder; [Synchronous] keeps a full barrier
-      between BFS levels (level k+1 expansion starts only once level k
-      has fully merged); [Asynchronous {kappa; _}] lets level k+1
+      expanding configurations; [policy] the execution policy (default
+      {!Asyncolor_util.Executor.default_policy}: [Serial] when
+      [jobs <= 1], else an [Asynchronous] window).  Every policy and
+      every [jobs] value runs the same pipelined builder.  Under
+      [Serial] each expansion runs inline on the caller, one entry at a
+      time — a plain FIFO BFS; [Asynchronous {kappa; _}] lets level k+1
       expansion start once a κ fraction of level k has merged, bounded
-      by the policy's in-flight window — discovery is async and
-      unordered, id assignment stays a sequential FIFO merge.
+      by the policy's in-flight window ([kappa = 1] with an unbounded
+      window, the ["sync"] alias, keeps a full barrier between levels) —
+      discovery is async and unordered, id assignment stays a sequential
+      FIFO merge.
       {b Deterministic-output guarantee}: the report — configuration ids
       embedded in messages, schedules, violation order, every counter —
       is byte-identical for every [jobs] value, every policy, and
@@ -196,8 +199,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ({!Asyncolor_resilience.Budget}); [stop] is an arbitrary
       cancellation callback (e.g. {!Asyncolor_resilience.Stop.requested}
       fed by signal handlers), polled with the current number of interned
-      configurations.  Both are checked at the same boundary in every
-      builder: before each pending entry is merged.  When either fires,
+      configurations.  Both are checked at one boundary: before each
+      pending entry is merged.  When either fires,
       the run {e degrades, never corrupts}: a final checkpoint is
       written (if configured) while the pending set is intact, and the
       returned report is a well-formed truncation with [complete = false]
@@ -234,8 +237,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       {!Asyncolor_resilience.Spill} (delta-encoded, checksummed
       {!Asyncolor_resilience.Checkpoint} containers), leaving the live
       heap to the frontier, the canonical-key index and the per-config
-      arrays.  Under a parallel policy the write runs as a background
-      executor task while the pipeline keeps expanding.  The analyses
+      arrays.  Under an [Asynchronous] policy the write runs as a
+      background executor task while the pipeline keeps expanding; under
+      [Serial] it runs inline.  The analyses
       reassemble the stream into an off-heap bigarray, so the peak-heap
       saving survives the analysis phase.  Spilling never changes any
       report field — only where bytes live.
@@ -244,9 +248,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       The run is traced out-of-band — never through stdout, so the
       deterministic-output guarantee is untouched: the report is
       byte-identical with tracing on or off.  The whole call is an
-      ["explore"] span; the pipelined builder emits one ["bfs.level"]
-      span per BFS level with the executor's ["exec.task"] spans on
-      per-domain [exec-worker-N] lanes underneath; checkpoint writes are
+      ["explore"] span; the builder emits one ["bfs.level"] span per BFS
+      level under every policy, with the executor's ["exec.task"] spans
+      on per-domain [exec-worker-N] lanes underneath when the policy is
+      [Asynchronous]; checkpoint writes are
       ["checkpoint.save"] spans and the final analyses
       ["analyze.livelock"]/["analyze.worstcase"].  Counters:
       ["explorer.configs"] equals {!report.configs} exactly on fresh
@@ -299,8 +304,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       describes, structurally: the packed configuration graph built so
       far, the intern table as flat key payloads, and the
       interned-but-unexpanded configurations in FIFO discovery order.
-      Because both packed builders expand pending entries in stored order
-      and assign dense ids in expansion order, resuming is
+      Because the packed builder expands pending entries in stored order
+      and assigns dense ids in expansion order, resuming is
       {e byte-identical}: the final report of an interrupted-and-resumed
       run equals the report of an uninterrupted run, for every [jobs]
       value on either side of the interruption. *)

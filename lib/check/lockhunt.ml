@@ -69,53 +69,33 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ]
       "lockhunt"
     @@ fun () ->
-    let policy =
-      match policy with
-      | Some p -> p
-      | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-    in
-    if policy = Executor.Serial || jobs <= 1 || nedges <= 1 then begin
-      let engine = E.create graph ~idents in
-      let initial = E.snapshot engine in
-      let acc = ref [] in
-      (try
-         Array.iter
-           (fun pair ->
-             if should_stop () then raise Exit;
-             acc := note (probe_restored ~max_steps engine initial pair) :: !acc)
-           edges
-       with Exit -> ());
-      List.rev !acc
-    end
-    else begin
-      (* Contiguous slices, one private engine per slice; findings come
-         back in edge order because [Executor.map] merges by index.
-         Under a budget/stop cut each slice keeps its probed prefix, so
-         the merged result is still sorted by edge order within slices. *)
-      let jobs = min jobs nedges in
-      let slices =
-        Array.init jobs (fun s -> (nedges * s / jobs, nedges * (s + 1) / jobs))
-      in
-      let per_slice =
-        Executor.with_executor ~obs ~chaos ~policy ~jobs (fun exec ->
-            Executor.map exec
-              (fun (lo, hi) ->
-                let engine = E.create graph ~idents in
-                let initial = E.snapshot engine in
-                let acc = ref [] in
-                (try
-                   for i = lo to hi - 1 do
-                     if should_stop () then raise Exit;
-                     acc :=
-                       note (probe_restored ~max_steps engine initial edges.(i))
-                       :: !acc
-                   done
-                 with Exit -> ());
-                Array.of_list (List.rev !acc))
-              slices)
-      in
-      Array.to_list (Array.concat (Array.to_list per_slice))
-    end
+    (* Contiguous slices, one private engine per slice; findings come
+       back in edge order because [Executor.map] merges by index.  Under
+       [Serial] (one worker) the single slice is the whole edge list.
+       Under a budget/stop cut each slice keeps its probed prefix, so the
+       merged result is still sorted by edge order within slices. *)
+    Executor.with_executor ~obs ~chaos ?policy ~jobs:(min jobs nedges)
+      (fun exec ->
+        let jobs = Executor.jobs exec in
+        let slices =
+          Array.init jobs (fun s -> (nedges * s / jobs, nedges * (s + 1) / jobs))
+        in
+        Executor.map exec
+          (fun (lo, hi) ->
+            let engine = E.create graph ~idents in
+            let initial = E.snapshot engine in
+            let acc = ref [] in
+            (try
+               for i = lo to hi - 1 do
+                 if should_stop () then raise Exit;
+                 acc :=
+                   note (probe_restored ~max_steps engine initial edges.(i))
+                   :: !acc
+               done
+             with Exit -> ());
+            Array.of_list (List.rev !acc))
+          slices)
+    |> Array.to_list |> Array.concat |> Array.to_list
 
   let locked findings =
     List.filter_map (fun f -> if f.locked then Some f.pair else None) findings

@@ -38,12 +38,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       rewound (snapshot/restore) between probes rather than re-created
       per edge; with [jobs > 1] the slices fan out across that many
       domains through an {!Asyncolor_util.Executor} running [policy]
-      (default: [Serial] when [jobs <= 1], else [Synchronous]; an
-      [Asynchronous] policy bounds how many slices are in flight at
-      once).  Probes share no mutable state and findings are merged by
-      slice index, so the result is identical for every [jobs] value and
-      policy and comes back in edge order regardless.  [jobs] defaults
-      to [1] (sequential, no domain spawned).
+      (default {!Asyncolor_util.Executor.default_policy}: [Serial], one
+      slice probed inline, when [jobs <= 1], else an [Asynchronous]
+      window bounding how many slices are in flight at once).  Probes
+      share no mutable state and findings are merged by slice index, so
+      the result is identical for every [jobs] value and policy and
+      comes back in edge order regardless.  [jobs] defaults to [1]
+      (sequential, no domain spawned).
 
       [budget] and [stop] are polled between probes: when either fires
       the hunt returns the findings gathered so far instead of raising —
@@ -51,7 +52,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       (each parallel slice keeps the prefix it had probed).
 
       [obs] (default {!Asyncolor_obs.Obs.disabled}) wraps the hunt in a
-      ["lockhunt"] span, traces the executor when [jobs > 1], and
+      ["lockhunt"] span, traces the executor, and
       accumulates the ["lockhunt.probes"]/["lockhunt.locked"] counters
       (probes performed, including those of a truncated hunt, and how
       many locked). *)

@@ -554,18 +554,13 @@ type report = {
 let campaign ?(jobs = 1) ?policy ?(obs = Obs.disabled) cfg ~seed ~sessions () =
   validate_config cfg;
   if sessions < 1 then invalid_arg "Churn: sessions must be positive";
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-  in
   let results =
     Obs.span obs
       ~args:
         [ ("seed", string_of_int seed); ("sessions", string_of_int sessions) ]
       "churn.campaign"
     @@ fun () ->
-    Executor.with_executor ~obs ~policy ~jobs (fun exec ->
+    Executor.with_executor ~obs ?policy ~jobs (fun exec ->
         Executor.map exec
           (fun i -> run ~obs cfg ~seed ~session:i)
           (Array.init sessions Fun.id))

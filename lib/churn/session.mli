@@ -149,10 +149,11 @@ val campaign :
   sessions:int ->
   unit ->
   report
-(** Fan the sessions out over an executor ([policy] defaults to serial
-    for [jobs <= 1], synchronous barriers otherwise) and merge by session
-    index.  The report is a pure function of [(config, seed, sessions)]
-    whatever [jobs] or [policy] ran it. *)
+(** Fan the sessions out over an executor ([policy] defaults to
+    {!Asyncolor_util.Executor.default_policy}: serial for [jobs <= 1],
+    an asynchronous window otherwise) and merge by session index.  The
+    report is a pure function of [(config, seed, sessions)] whatever
+    [jobs] or [policy] ran it. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic plain-text rendering (the CLI's output). *)

@@ -18,8 +18,8 @@ val map_cells :
     description, share no mutable state — which makes the output
     byte-identical for every [jobs] value and policy.  [jobs] defaults
     to {!Asyncolor_util.Executor.default_jobs}; [jobs <= 1] (with no
-    explicit policy) and [~policy:Serial] run sequentially in the
-    calling domain with no executor spawned. *)
+    explicit policy) and [~policy:Serial] run each cell inline in the
+    calling domain, with no domain spawned. *)
 
 val adversary_suite : seed:int -> n:int -> Adversary.t list
 (** The standard stress suite: synchronous, sequential, round-robin,

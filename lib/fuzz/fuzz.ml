@@ -122,11 +122,6 @@ let campaign ?(jobs = 1) ?policy ?budget ?stop ?corpus_dir ?algos ?mutation
     ?max_n ?(chaos = Asyncolor_resilience.Chaos.disabled) ?(obs = Obs.disabled)
     ~seed ~execs () =
   let octx = make_octx obs in
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-  in
   let should_stop () =
     (match stop with Some f -> f () | None -> false)
     || match budget with Some b -> Budget.exceeded b | None -> false
@@ -147,7 +142,7 @@ let campaign ?(jobs = 1) ?policy ?budget ?stop ?corpus_dir ?algos ?mutation
      ~args:[ ("seed", string_of_int seed); ("execs", string_of_int execs) ]
      "fuzz.campaign"
   @@ fun () ->
-   Executor.with_executor ~obs ~chaos ~policy ~jobs (fun exec ->
+   Executor.with_executor ~obs ~chaos ?policy ~jobs (fun exec ->
        let lo = ref 0 in
        while !lo < execs do
          if should_stop () then begin

@@ -64,10 +64,11 @@ val campaign :
     [t%04d.trace] (raw) and [t%04d.min.trace] (shrunk) keyed by exec
     index, as they are found — an interrupted campaign keeps its corpus.
 
-    [policy] (default: [Serial] when [jobs <= 1], else [Synchronous])
-    selects the executor policy the batches run under; an
-    [Asynchronous {max_active; _}] policy bounds the in-flight execs per
-    batch instead of queueing the whole batch at once.  The report is
+    [policy] (default {!Asyncolor_util.Executor.default_policy}:
+    [Serial] when [jobs <= 1], else an [Asynchronous] window) selects
+    the executor policy the batches run under; [Serial] runs each exec
+    inline, and an [Asynchronous {max_active; _}] policy bounds the
+    in-flight execs per batch.  The report is
     byte-identical across policies.  [chaos] (default disabled) arms the
     executor's fault injector: worker domains may be crashed at sites
     [exec.worker-N] and are recovered by the watchdog — the report stays

@@ -99,10 +99,7 @@ module Ws_deque = struct
     end
 end
 
-type policy =
-  | Serial
-  | Synchronous
-  | Asynchronous of { max_active : int; kappa : float }
+type policy = Serial | Asynchronous of { max_active : int; kappa : float }
 
 let clamp_kappa k =
   if Float.is_nan k then 1.0 else Float.max 0.0 (Float.min 1.0 k)
@@ -114,10 +111,14 @@ let asynchronous ?max_active ?(kappa = 0.5) ~jobs () =
   in
   Asynchronous { max_active; kappa = clamp_kappa kappa }
 
+let default_policy ~jobs = if jobs <= 1 then Serial else asynchronous ~jobs ()
+
+(* "sync" is not a policy of its own: the whole level in flight behind a
+   full barrier is exactly the unbounded, κ = 1 asynchronous window. *)
 let policy_of_string ?max_active ?kappa ~jobs s =
   match String.lowercase_ascii s with
   | "serial" -> Serial
-  | "sync" | "synchronous" -> Synchronous
+  | "sync" | "synchronous" -> Asynchronous { max_active = max_int; kappa = 1.0 }
   | "async" | "asynchronous" -> asynchronous ?max_active ?kappa ~jobs ()
   | s ->
       invalid_arg
@@ -128,11 +129,10 @@ let policy_of_string ?max_active ?kappa ~jobs s =
 
 let policy_name = function
   | Serial -> "serial"
-  | Synchronous -> "synchronous"
   | Asynchronous _ -> "asynchronous"
 
 let policy_kappa = function
-  | Serial | Synchronous -> 1.0
+  | Serial -> 1.0
   | Asynchronous { kappa; _ } -> kappa
 
 type 'a fstate =
@@ -195,7 +195,6 @@ let policy t = t.pol
 let stream_window t =
   match t.pol with
   | Serial -> 1
-  | Synchronous -> max_int
   | Asynchronous { max_active; _ } -> max 1 max_active
 
 let note_backpressure t = Obs.Counter.incr t.c_backpressure
@@ -256,55 +255,61 @@ let complete t fut v =
   Condition.broadcast t.changed;
   Mutex.unlock t.mutex
 
+let run_task t f =
+  Obs.Counter.incr t.c_tasks;
+  match f () with
+  | v -> Returned v
+  | exception e -> Raised (e, Printexc.get_raw_backtrace ())
+
+(* [Serial] runs the task inline and hands back a resolved future: a
+   serial client is a parallel one on an inline scheduler, with no deque
+   push and no lock.  Queued tasks keep [f] and the future in a cell the
+   task empties on entry: a steal never clears its deque slot, so without
+   it the buffer would keep every finished result reachable until the
+   slot is reused. *)
 let submit t f =
   if t.stopping then invalid_arg "Executor.submit: executor is shut down";
-  let fut = { fst = Pending; owner = t } in
-  let task () =
-    Obs.Counter.incr t.c_tasks;
-    let v =
-      if Obs.enabled t.obs then begin
-        match Obs.span t.obs "exec.task" f with
-        | v -> Returned v
-        | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-      end
-      else
-        match f () with
-        | v -> Returned v
-        | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-    in
-    complete t fut v
-  in
-  Ws_deque.push t.deques.(self_ix t) task;
-  Mutex.lock t.mutex;
-  t.stamp <- t.stamp + 1;
-  Condition.broadcast t.changed;
-  Mutex.unlock t.mutex;
-  fut
+  match t.pol with
+  | Serial -> { fst = run_task t f; owner = t }
+  | Asynchronous _ ->
+      let fut = { fst = Pending; owner = t } in
+      let cell = ref (Some (f, fut)) in
+      let task () =
+        match !cell with
+        | None -> ()
+        | Some (f, fut) ->
+            cell := None;
+            let f =
+              if Obs.enabled t.obs then fun () -> Obs.span t.obs "exec.task" f
+              else f
+            in
+            complete t fut (run_task t f)
+      in
+      Ws_deque.push t.deques.(self_ix t) task;
+      Mutex.lock t.mutex;
+      t.stamp <- t.stamp + 1;
+      Condition.broadcast t.changed;
+      Mutex.unlock t.mutex;
+      fut
 
 (* --- the watchdog ----------------------------------------------------- *)
 
 (* One crash or stall is tolerated quietly; [degrade_after] of them walk
-   the policy down one rung (Asynchronous → Synchronous → Serial) —
-   narrower windows mean fewer in-flight tasks exposed to a flaky pool.
+   the policy down to [Serial] — tasks then run inline on the submitter,
+   so no new work is exposed to a flaky pool.
    Results are unaffected: policy only changes scheduling, and the
    explorer re-reads the window every iteration.  Called under [mutex]. *)
 let note_failure_locked t =
   t.failures <- t.failures + 1;
   if t.failures >= t.degrade_after then begin
-    let next =
-      match t.pol with
-      | Asynchronous _ -> Some Synchronous
-      | Synchronous -> Some Serial
-      | Serial -> None
-    in
-    match next with
-    | Some p ->
+    match t.pol with
+    | Asynchronous _ ->
         t.failures <- 0;
-        t.pol <- p;
+        t.pol <- Serial;
         t.n_degraded <- t.n_degraded + 1;
         Obs.Counter.incr t.c_degraded;
         Chaos.note_degrade t.chaos
-    | None -> ()
+    | Serial -> ()
   end
 
 (* A spawned worker's domain is about to die (injected crash, or a task
@@ -465,12 +470,15 @@ let await fut =
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let create ?(obs = Obs.disabled) ?(chaos = Chaos.disabled)
-    ?(degrade_after = 3) ?(policy = Synchronous) ?jobs () =
+    ?(degrade_after = 3) ?policy ?jobs () =
   (* The one place [jobs] is sanitised: clamped to at least 1, for every
-     client uniformly ([Domain_pool] included); [Serial] runs everything
-     on the caller, so it forces a single worker and spawns nothing. *)
+     client uniformly; [Serial] runs everything on the caller, so it
+     forces a single worker and spawns nothing. *)
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let jobs = match policy with Serial -> 1 | Synchronous | Asynchronous _ -> jobs in
+  let policy =
+    match policy with Some p -> p | None -> default_policy ~jobs
+  in
+  let jobs = match policy with Serial -> 1 | Asynchronous _ -> jobs in
   let t =
     {
       id = Atomic.fetch_and_add next_exec_id 1;
@@ -557,38 +565,36 @@ let alive_workers t =
 
 (* --- the batch layer: windowed map with failure isolation -------------- *)
 
-let batch_window t ~total =
-  match t.pol with
-  | Serial -> 1
-  | Synchronous -> total
-  | Asynchronous { max_active; _ } -> max 1 max_active
-
 let map_result t ?(retries = 0) f input =
   let total = Array.length input in
   if total = 0 then Ok [||]
   else begin
     if t.stopping then invalid_arg "Executor.map: executor is shut down";
-    let window = batch_window t ~total in
+    let window = stream_window t in
     let results = Array.make total None in
     (* first (lowest-index) final error wins, so failures are
        deterministic regardless of which domain hit them *)
     let error = ref None in
-    let cancelled = Atomic.make false in
+    (* the lowest index whose error is final; [max_int] while none is *)
+    let failed_at = Atomic.make max_int in
+    let cancelled () = Atomic.get failed_at < max_int in
     let record_error (e : batch_error) =
       Mutex.lock t.mutex;
       (match !error with
       | Some prev when prev.index <= e.index -> ()
-      | _ -> error := Some e);
-      Mutex.unlock t.mutex;
-      Atomic.set cancelled true
+      | _ ->
+          error := Some e;
+          Atomic.set failed_at e.index);
+      Mutex.unlock t.mutex
     in
     let run_item i =
-      (* After cancellation a task completes as a no-op: [f] is never
+      (* An item above a final failure completes as a no-op: [f] is never
          called, so a poisoned item costs at most the in-flight window
-         beyond itself.  Dispatch is FIFO in index order, so the overall
-         lowest failing index always runs before cancellation can skip
-         it — the reported error is deterministic. *)
-      if not (Atomic.get cancelled) then begin
+         beyond itself.  Items below it still run — dispatch is FIFO, but
+         a lower item taken by a slower domain may start after a higher
+         one failed, and it may fail too — so the overall lowest failing
+         index always runs and the reported error is deterministic. *)
+      if i < Atomic.get failed_at then begin
         let rec attempt k =
           if k > 1 then Obs.Counter.incr t.c_retries;
           match f input.(i) with
@@ -608,7 +614,7 @@ let map_result t ?(retries = 0) f input =
       while
         !submitted < total
         && !submitted - !consumed < window
-        && not (Atomic.get cancelled)
+        && not (cancelled ())
       do
         let i = !submitted in
         futs.(i) <- Some (submit t (fun () -> run_item i));
@@ -618,7 +624,7 @@ let map_result t ?(retries = 0) f input =
       if
         !submitted < total
         && !submitted - !consumed >= window
-        && not (Atomic.get cancelled)
+        && not (cancelled ())
       then note_backpressure t;
       if !consumed < !submitted then begin
         (match futs.(!consumed) with

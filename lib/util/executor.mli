@@ -1,7 +1,8 @@
 (** The async execution core: per-worker work-stealing deques, futures,
     and policy-driven in-flight windows — every parallel path in the repo
-    (explorer BFS, fuzz campaigns, lockhunt slices, the sweep harness,
-    {!Domain_pool}) runs on this one engine.
+    (explorer BFS, fuzz campaigns, lockhunt slices, churn sessions, the
+    sweep harness) runs on this one engine, and so does every serial one:
+    a serial run is a parallel run on the inline [Serial] scheduler.
 
     {b Shape.}  An executor owns [jobs] Chase–Lev deques — one per worker
     domain plus one ([0]) for the submitting caller — and [jobs - 1]
@@ -17,13 +18,15 @@
     steal interleaving.
 
     {b Policies.}  {!policy} fixes how many tasks a batch or stream may
-    keep in flight: [Serial] (one at a time, on the caller),
-    [Synchronous] (whole batch at once — the fork-join the old
-    [Domain_pool] implemented), [Asynchronous {max_active; kappa}]
-    (bounded window with backpressure; [kappa] additionally gates how
-    early the explorer may overlap successive BFS levels — see
-    {!Asyncolor_check.Explorer}).  Policy never changes {e results}, only
-    scheduling: outputs are byte-identical across policies and [jobs].
+    keep in flight: [Serial] (each task runs inline in {!submit}, on the
+    caller; no domains) or [Asynchronous {max_active; kappa}] (bounded
+    window with backpressure; [kappa] additionally gates how early the
+    explorer may overlap successive BFS levels — see
+    {!Asyncolor_check.Explorer}).  The level-synchronous fork-join is the
+    special case [max_active = max_int], [kappa = 1] (what
+    {!policy_of_string} returns for ["sync"]).  Policy never changes
+    {e results}, only scheduling: outputs are byte-identical across
+    policies and [jobs].
 
     {b Watchdog.}  The executor survives its own workers.  Each spawned
     domain bumps a heartbeat counter every loop iteration; a starved
@@ -33,9 +36,9 @@
     observations).  Reclaimed tasks land in a reinjection queue that
     every domain drains after a deque miss, so no submitted task is ever
     lost — a crash costs latency, never a result.  After [degrade_after]
-    crashes/stalls the policy walks down one rung
-    ([Asynchronous → Synchronous → Serial]); since policy only changes
-    scheduling, outputs stay byte-identical through every degradation.
+    crashes/stalls the policy degrades ([Asynchronous → Serial]: later
+    submissions run inline on the submitter); since policy only changes
+    scheduling, outputs stay byte-identical through the degradation.
     Injected worker crashes (site [exec.worker-N]) come from the
     {!Asyncolor_resilience.Chaos} instance passed at {!create}.
 
@@ -44,7 +47,9 @@
     (workers are named [exec-worker-N]); ["exec.tasks"],
     ["exec.steals"], ["exec.retries"], ["exec.backpressure"],
     ["exec.worker_crashes"], ["exec.worker_stalls"] and ["exec.degraded"]
-    counters accumulate per-domain sharded; ["exec.wait"] intervals
+    counters accumulate per-domain sharded (a [Serial] task counts in
+    ["exec.tasks"] but gets no span of its own: it runs inside the
+    caller's); ["exec.wait"] intervals
     record worker idle gaps and the ["exec.inflight_max"] gauge the
     widest batch window. *)
 
@@ -72,10 +77,9 @@ module Ws_deque : sig
 end
 
 type policy =
-  | Serial  (** one task at a time, executed by the caller; no domains *)
-  | Synchronous
-      (** whole batch in flight, join at the end — fork-join semantics,
-          the explorer barriers at every BFS level *)
+  | Serial
+      (** one task at a time, run inline by {!submit} on the caller; no
+          domains *)
   | Asynchronous of { max_active : int; kappa : float }
       (** at most [max_active] tasks in flight, submission stalls
           (counted as ["exec.backpressure"]) when the window is full;
@@ -86,19 +90,25 @@ val asynchronous : ?max_active:int -> ?kappa:float -> jobs:int -> unit -> policy
 (** Smart constructor: [max_active] defaults to [4 * jobs] and is clamped
     to at least 1; [kappa] (default [0.5]) is clamped into [[0, 1]]. *)
 
+val default_policy : jobs:int -> policy
+(** What every client runs when no policy is given: [Serial] for
+    [jobs <= 1], else [asynchronous ~jobs ()]. *)
+
 val policy_of_string :
   ?max_active:int -> ?kappa:float -> jobs:int -> string -> policy
 (** ["serial"], ["sync"]/["synchronous"], ["async"]/["asynchronous"]
-    (case-insensitive); the CLI surface of [--exec-policy].
+    (case-insensitive); the CLI surface of [--exec-policy].  ["sync"] is
+    an alias: [Asynchronous {max_active = max_int; kappa = 1.0}], the
+    whole level in flight behind a full barrier ([max_active] and
+    [kappa] are ignored for it).
     @raise Invalid_argument on anything else. *)
 
 val policy_name : policy -> string
-(** ["serial"], ["synchronous"] or ["asynchronous"] — recorded in
-    [bench --json]. *)
+(** ["serial"] or ["asynchronous"]. *)
 
 val policy_kappa : policy -> float
 (** The level-overlap fraction: [kappa] for [Asynchronous], [1.0] for
-    [Serial] and [Synchronous] (a full barrier between levels). *)
+    [Serial] (a full barrier between levels). *)
 
 type t
 
@@ -128,12 +138,13 @@ val create :
 (** [create ~policy ~jobs ()] spawns [jobs - 1] worker domains (so the
     caller is always worker 0).  {b [jobs] is clamped to at least 1 here,
     at the executor boundary} — [~jobs:0] and negative values behave as
-    [~jobs:1], uniformly for every client ({!Domain_pool} included); a
-    [Serial] policy forces [jobs = 1] and spawns nothing.  [chaos]
+    [~jobs:1], uniformly for every client; a [Serial] policy forces
+    [jobs = 1] and spawns nothing.  [chaos]
     (default disabled) injects worker crashes at sites [exec.worker-N];
     [degrade_after] (default 3, clamped to ≥ 1) is the watchdog's
-    failure budget per policy rung.  Defaults: [policy = Synchronous],
-    [jobs = default_jobs ()], [obs = Asyncolor_obs.Obs.disabled]. *)
+    failure budget before the policy degrades.  Defaults:
+    [jobs = default_jobs ()], [policy = default_policy ~jobs],
+    [obs = Asyncolor_obs.Obs.disabled]. *)
 
 val jobs : t -> int
 (** The clamped worker count (caller included). *)
@@ -158,10 +169,10 @@ val alive_workers : t -> int
 (** Workers still running, caller included (so at least 1). *)
 
 val stream_window : t -> int
-(** The in-flight bound a streaming client (the explorer) should keep:
-    [1] for [Serial], [max_active] for [Asynchronous], effectively
-    unbounded for [Synchronous] (the stream's own level gate is the only
-    limit — fork-join semantics). *)
+(** The in-flight bound a streaming or batch client should keep: [1] for
+    [Serial], [max_active] for [Asynchronous] (effectively unbounded for
+    the ["sync"] alias, where the explorer's own level gate is the only
+    limit). *)
 
 val note_backpressure : t -> unit
 (** Count one submission stall on the ["exec.backpressure"] counter —
@@ -170,14 +181,19 @@ val note_backpressure : t -> unit
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task.  Tasks submitted by the caller are dispatched in
-    submission order (FIFO).  Only submit from the caller domain or from
-    inside a running task.
+    submission order (FIFO).  Under [Serial] the task runs before
+    [submit] returns and the future is already resolved (its exception,
+    if any, is kept for {!await}).  A task drops its own references to
+    the function and the future when it starts, so an awaited and
+    dropped future's result is garbage as soon as the caller lets go of
+    it.  Only submit from the caller domain or from inside a running
+    task.
     @raise Invalid_argument after {!shutdown}. *)
 
 val await : 'a future -> 'a
 (** Block until the future lands, helping execute queued tasks while
     waiting (so [await] never deadlocks the pipeline and [jobs = 1]
-    degenerates to sequential execution on the caller).  Re-raises the
+    runs queued work on the caller).  Re-raises the
     task's exception with its original backtrace. *)
 
 val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
@@ -192,14 +208,13 @@ val map_result :
 
     {b Failure isolation.}  An item that raises is retried up to
     [retries] times (default 0).  Once an item's error is final the
-    batch is {e cancelled}: tasks not yet started complete as no-ops
-    (their [f] is never called), only in-flight items run to completion
-    — one poisoned item no longer pays for the whole remaining batch.
-    Because dispatch is FIFO in index order, the overall lowest failing
-    index is always dispatched before cancellation can skip anything
-    below it, so the reported error is deterministic regardless of
-    domain scheduling or policy.  The executor stays usable after a
-    failed batch. *)
+    batch is {e cancelled}: nothing more is submitted, and tasks above
+    the failing index that have not started complete as no-ops (their
+    [f] is never called) — one poisoned item no longer pays for the
+    whole remaining batch.  Items below the failing index still run, so
+    the overall lowest failing index always runs and the reported error
+    is deterministic regardless of domain scheduling or policy.  The
+    executor stays usable after a failed batch. *)
 
 val map : t -> ?retries:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Like {!map_result} but re-raises the lowest-index final error with

@@ -237,8 +237,8 @@ let diff_report (type s r o)
         (explore ~jobs ~policy `Hashcons))
     [
       ("serial", 1, Asyncolor_util.Executor.Serial);
-      ("sync jobs=2", 2, Asyncolor_util.Executor.Synchronous);
-      ("sync jobs=4", 4, Asyncolor_util.Executor.Synchronous);
+      ("sync jobs=2", 2, Asyncolor_util.Executor.policy_of_string ~jobs:2 "sync");
+      ("sync jobs=4", 4, Asyncolor_util.Executor.policy_of_string ~jobs:4 "sync");
       ( "async κ=0.5 jobs=1",
         1,
         Asyncolor_util.Executor.asynchronous ~kappa:0.5 ~jobs:1 () );
@@ -323,6 +323,12 @@ module E3 = Explorer.Make (Three)
 
 let report3 = Alcotest.testable E3.pp_report ( = )
 let baseline3 () = E3.explore g3 ~idents:[| 0; 1; 2 |]
+
+(* Where a serial run is cut is part of its contract: the stop, budget
+   and io-error latches are polled at the merge boundary, so a jobs=1
+   truncation lands on exactly the configuration these reports pin. *)
+let check_cut name expected r =
+  check Alcotest.string name expected (Format.asprintf "%a" E3.pp_report r)
 
 let test_resume_identical_at_every_cut () =
   (* The central resume property: interrupt the exploration after [cut]
@@ -438,7 +444,7 @@ let test_resume_rejects_other_protocol () =
 let test_budget_truncates_cleanly () =
   (* An already-exhausted wall budget must yield a well-formed truncated
      report — complete=false, the -1 sentinel — and no exception, for
-     both builders. *)
+     jobs 1 and 4. *)
   List.iter
     (fun jobs ->
       let r =
@@ -448,7 +454,12 @@ let test_budget_truncates_cleanly () =
       in
       check Alcotest.bool "incomplete" false r.complete;
       check Alcotest.int "sentinel" (-1) r.worst_case_activations;
-      check Alcotest.bool "root interned" true (r.configs >= 1))
+      check Alcotest.bool "root interned" true (r.configs >= 1);
+      if jobs = 1 then
+        check_cut "serial budget cut"
+          "configs=1 transitions=0 terminal=0 complete=false wait_free=true \
+           worst_activations=-1 safety_violations=0"
+          r)
     [ 1; 4 ]
 
 let test_stop_callback_equivalent_to_max_configs_contract () =
@@ -459,7 +470,11 @@ let test_stop_callback_equivalent_to_max_configs_contract () =
   in
   check Alcotest.bool "incomplete" false stopped.complete;
   check Alcotest.bool "prefix explored" true
-    (stopped.configs >= 10 && stopped.configs < 64)
+    (stopped.configs >= 10 && stopped.configs < 64);
+  check_cut "serial stop cut"
+    "configs=12 transitions=14 terminal=0 complete=false wait_free=true \
+     worst_activations=-1 safety_violations=0"
+    stopped
 
 let test_reference_rejects_crash_options () =
   let expected =
@@ -493,7 +508,9 @@ let test_lockhunt_budget_truncates () =
   let n = ref 0 in
   let some = H.hunt ~stop:(fun () -> incr n; !n > 5) g ~idents in
   check Alcotest.bool "stop callback cuts the hunt short" true
-    (List.length some < 16 && List.length some > 0)
+    (List.length some < 16 && List.length some > 0);
+  check Alcotest.int "serial hunt stops after exactly five probes" 5
+    (List.length some)
 
 (* --- chaos: injected faults are invisible in the report ---------------- *)
 
@@ -524,8 +541,8 @@ let instant_retry = Chaos.Retry.cfg ~max_attempts:12 ~sleep:(fun _ -> ()) ()
 let chaos_legs =
   [
     (1, Exec.Serial);
-    (2, Exec.Synchronous);
-    (4, Exec.Synchronous);
+    (2, Exec.policy_of_string ~jobs:2 "sync");
+    (4, Exec.policy_of_string ~jobs:4 "sync");
     (2, Exec.asynchronous ~kappa:0.5 ~jobs:2 ());
     (4, Exec.asynchronous ~kappa:0.5 ~jobs:4 ());
   ]
@@ -581,12 +598,16 @@ let test_chaos_exhaustion_truncates_cleanly () =
       check Alcotest.int "truncation sentinel" (-1) r.worst_case_activations;
       check Alcotest.bool "prefix explored before the cut" true (r.configs >= 8);
       check Alcotest.bool "no stale tmp left behind" false
-        (Sys.file_exists (ckpt ^ ".tmp")))
+        (Sys.file_exists (ckpt ^ ".tmp"));
+      check_cut "serial checkpoint-exhaustion cut"
+        "configs=12 transitions=14 terminal=0 complete=false wait_free=true \
+         worst_activations=-1 safety_violations=0"
+        r)
 
 let test_chaos_spill_failure_truncates_at_seal () =
-  (* S1: a spill write that fails permanently — including the background
-     writes the parallel builder hands to the executor — surfaces as a
-     clean truncation at the seal/merge boundary, never as a crash. *)
+  (* S1: a spill write that fails permanently — inline under Serial, a
+     background executor task under an asynchronous policy — surfaces as
+     a clean truncation at the seal/merge boundary, never as a crash. *)
   List.iter
     (fun jobs ->
       with_temp_dir (fun dir ->
@@ -605,7 +626,12 @@ let test_chaos_spill_failure_truncates_at_seal () =
             (Printf.sprintf "jobs=%d: truncated cleanly" jobs)
             false r.complete;
           check Alcotest.bool "made progress before the failure" true
-            (r.configs >= 1)))
+            (r.configs >= 1);
+          if jobs = 1 then
+            check_cut "serial spill-failure cut"
+              "configs=8 transitions=7 terminal=0 complete=false \
+               wait_free=true worst_activations=-1 safety_violations=0"
+              r))
     [ 1; 4 ]
 
 (* --- lockhunt ---------------------------------------------------------- *)

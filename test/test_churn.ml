@@ -17,6 +17,8 @@ let small algo = { Session.default with algo; n = 16; horizon = 5_000 }
 let campaign ?jobs ?policy cfg ~seed ~sessions =
   Session.campaign ?jobs ?policy cfg ~seed ~sessions ()
 
+let sync = Executor.policy_of_string ~jobs:4 "sync"
+
 (* --- clean runs -------------------------------------------------------- *)
 
 let test_clean algo () =
@@ -51,10 +53,8 @@ let test_campaign_determinism () =
   let reference = campaign cfg ~seed:11 ~sessions:4 ~jobs:1 in
   let legs =
     [
-      ("sync j2", campaign cfg ~seed:11 ~sessions:4 ~jobs:2);
-      ( "sync j4",
-        campaign cfg ~seed:11 ~sessions:4 ~jobs:4
-          ~policy:Executor.Synchronous );
+      ("sync j2", campaign cfg ~seed:11 ~sessions:4 ~jobs:2 ~policy:sync);
+      ("sync j4", campaign cfg ~seed:11 ~sessions:4 ~jobs:4 ~policy:sync);
       ( "async j2",
         campaign cfg ~seed:11 ~sessions:4 ~jobs:2
           ~policy:(Executor.asynchronous ~jobs:2 ()) );

@@ -237,14 +237,22 @@ let prop_explorer_counters_match_report =
         idents.(j) <- t
       done;
       let graph = Builders.cycle n in
+      (* every jobs value runs the one pipelined builder, the serial path
+         included, so the BFS level count is observable and identical *)
+      let levels = ref [] in
       List.for_all
         (fun jobs ->
           let o = Obs.create ~clock:(Clock.virtual_ ()) () in
           let r = Exp.explore ~jobs ~obs:o graph ~idents in
           let m = Obs.metrics o in
+          levels := List.assoc "explorer.levels" m :: !levels;
           List.assoc "explorer.configs" m = r.configs
           && List.assoc "explorer.transitions" m = r.transitions)
-        [ 1; 2; 4 ])
+        [ 1; 2; 4 ]
+      &&
+      match !levels with
+      | l :: rest -> l > 0 && List.for_all (( = ) l) rest
+      | [] -> false)
 
 let test_resume_counts_only_new () =
   (* The documented resume contract: explorer.configs counts only the

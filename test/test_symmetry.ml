@@ -175,8 +175,8 @@ let diff_symmetric ?(mode = `All_subsets) graph ~idents () =
       check report (name ^ " = serial") on_
         (Exp.explore ~mode ~symmetry:true ~jobs ~policy graph ~idents))
     [
-      ("sync jobs=2", 2, Executor.Synchronous);
-      ("sync jobs=4", 4, Executor.Synchronous);
+      ("sync jobs=2", 2, Executor.policy_of_string ~jobs:2 "sync");
+      ("sync jobs=4", 4, Executor.policy_of_string ~jobs:4 "sync");
       ("async κ=0.5 jobs=2", 2, Executor.asynchronous ~kappa:0.5 ~jobs:2 ());
       ("async κ=0.5 jobs=4", 4, Executor.asynchronous ~kappa:0.5 ~jobs:4 ());
     ]

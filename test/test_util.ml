@@ -205,29 +205,29 @@ let test_vec_to_array () =
   List.iter (Vec.push v) [ "a"; "b"; "c" ];
   Alcotest.(check (array string)) "to_array" [| "a"; "b"; "c" |] (Vec.to_array v)
 
-(* --- Domain_pool ---------------------------------------------------- *)
+(* --- Executor: fork-join map under the default policy ----------------- *)
 
-module Domain_pool = Asyncolor_util.Domain_pool
+module Executor = Asyncolor_util.Executor
 
-let test_pool_map_ordering () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
+let test_map_ordering () =
+  Executor.with_executor ~jobs:4 (fun exec ->
       let input = Array.init 1_000 Fun.id in
-      let out = Domain_pool.map pool (fun x -> x * x) input in
+      let out = Executor.map exec (fun x -> x * x) input in
       Alcotest.(check (array int)) "squares in index order"
         (Array.map (fun x -> x * x) input)
         out)
 
-let test_pool_sequential_matches_parallel () =
+let test_map_sequential_matches_parallel () =
   let f x = (x * 7919) mod 104729 in
   let input = List.init 257 Fun.id in
-  let seq = Domain_pool.with_pool ~jobs:1 (fun p -> Domain_pool.map_list p f input) in
-  let par = Domain_pool.with_pool ~jobs:4 (fun p -> Domain_pool.map_list p f input) in
+  let seq = Executor.with_executor ~jobs:1 (fun p -> Executor.map_list p f input) in
+  let par = Executor.with_executor ~jobs:4 (fun p -> Executor.map_list p f input) in
   Alcotest.(check (list int)) "jobs=1 and jobs=4 agree" seq par
 
-let test_pool_reuse () =
-  Domain_pool.with_pool ~jobs:3 (fun pool ->
+let test_map_reuse () =
+  Executor.with_executor ~jobs:3 (fun exec ->
       for round = 1 to 5 do
-        let out = Domain_pool.map pool (fun x -> x + round) (Array.init 50 Fun.id) in
+        let out = Executor.map exec (fun x -> x + round) (Array.init 50 Fun.id) in
         Alcotest.(check (array int))
           (Printf.sprintf "round %d" round)
           (Array.init 50 (fun i -> i + round))
@@ -236,13 +236,13 @@ let test_pool_reuse () =
 
 exception Boom of int
 
-let test_pool_exception_lowest_index () =
-  (* Several items raise; the pool must deterministically rethrow the
-     lowest-index failure, whatever domain hit it first. *)
+let test_map_exception_lowest_index () =
+  (* Several items raise; the executor must deterministically rethrow
+     the lowest-index failure, whatever domain hit it first. *)
   for _ = 1 to 10 do
     match
-      Domain_pool.with_pool ~jobs:4 (fun pool ->
-          Domain_pool.map pool
+      Executor.with_executor ~jobs:4 (fun exec ->
+          Executor.map exec
             (fun x -> if x mod 13 = 12 then raise (Boom x) else x)
             (Array.init 100 Fun.id))
     with
@@ -250,26 +250,27 @@ let test_pool_exception_lowest_index () =
     | exception Boom x -> check Alcotest.int "lowest failing index" 12 x
   done
 
-let test_pool_usable_after_exception () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      (try ignore (Domain_pool.map pool (fun _ -> failwith "boom") [| 0; 1 |])
+let test_map_usable_after_exception () =
+  Executor.with_executor ~jobs:4 (fun exec ->
+      (try ignore (Executor.map exec (fun _ -> failwith "boom") [| 0; 1 |])
        with Failure _ -> ());
-      let out = Domain_pool.map pool Fun.id (Array.init 10 Fun.id) in
-      Alcotest.(check (array int)) "pool survives a failed batch"
+      let out = Executor.map exec Fun.id (Array.init 10 Fun.id) in
+      Alcotest.(check (array int)) "executor survives a failed batch"
         (Array.init 10 Fun.id) out)
 
-let test_pool_empty_and_jobs_clamp () =
-  Domain_pool.with_pool ~jobs:64 (fun pool ->
-      Alcotest.(check (array int)) "empty input" [||] (Domain_pool.map pool Fun.id [||]));
-  check Alcotest.bool "default_jobs positive" true (Domain_pool.default_jobs () >= 1)
+let test_map_empty_and_jobs_clamp () =
+  Executor.with_executor ~jobs:64 (fun exec ->
+      Alcotest.(check (array int)) "empty input" [||] (Executor.map exec Fun.id [||]));
+  check Alcotest.bool "default_jobs positive" true (Executor.default_jobs () >= 1)
 
-let test_pool_fail_fast_sequential () =
-  (* jobs = 1 drains strictly in index order, so fail-fast has a fully
-     deterministic witness: items after the failing one never execute. *)
+let test_map_fail_fast_sequential () =
+  (* jobs = 1 runs each item inline, strictly in index order, so
+     fail-fast has a fully deterministic witness: items after the failing
+     one never execute. *)
   let executed = Atomic.make 0 in
-  Domain_pool.with_pool ~jobs:1 (fun pool ->
+  Executor.with_executor ~jobs:1 (fun exec ->
       match
-        Domain_pool.map_result pool
+        Executor.map_result exec
           (fun x ->
             Atomic.incr executed;
             if x = 5 then raise (Boom x))
@@ -277,19 +278,19 @@ let test_pool_fail_fast_sequential () =
       with
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
-          check Alcotest.int "failing index" 5 e.Domain_pool.index;
-          check Alcotest.int "single attempt" 1 e.Domain_pool.attempts;
+          check Alcotest.int "failing index" 5 e.Executor.index;
+          check Alcotest.int "single attempt" 1 e.Executor.attempts;
           check Alcotest.int "items 0..5 executed, tail skipped" 6
             (Atomic.get executed))
 
-let test_pool_fail_fast_parallel () =
+let test_map_fail_fast_parallel () =
   (* With several domains the skipped tail is not exact, but cancellation
      must still cut deep into a 200-item batch when item 10 dies at once
      while every other item takes ~2ms. *)
   let executed = Atomic.make 0 in
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
+  Executor.with_executor ~jobs:4 (fun exec ->
       match
-        Domain_pool.map_result pool
+        Executor.map_result exec
           (fun x ->
             Atomic.incr executed;
             if x = 10 then raise (Boom x) else Unix.sleepf 0.002)
@@ -297,31 +298,31 @@ let test_pool_fail_fast_parallel () =
       with
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
-          check Alcotest.int "failing index" 10 e.Domain_pool.index;
+          check Alcotest.int "failing index" 10 e.Executor.index;
           check Alcotest.bool "most of the batch was cancelled" true
             (Atomic.get executed < 100))
 
-let test_pool_retry_exhausted () =
-  Domain_pool.with_pool ~jobs:2 (fun pool ->
+let test_map_retry_exhausted () =
+  Executor.with_executor ~jobs:2 (fun exec ->
       match
-        Domain_pool.map_result pool ~retries:3
+        Executor.map_result exec ~retries:3
           (fun x -> if x = 1 then failwith "always" else x)
           [| 0; 1; 2 |]
       with
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
-          check Alcotest.int "failing index" 1 e.Domain_pool.index;
-          check Alcotest.int "1 attempt + 3 retries" 4 e.Domain_pool.attempts;
+          check Alcotest.int "failing index" 1 e.Executor.index;
+          check Alcotest.int "1 attempt + 3 retries" 4 e.Executor.attempts;
           check Alcotest.bool "original exception kept" true
-            (match e.Domain_pool.error with Failure m -> m = "always" | _ -> false))
+            (match e.Executor.error with Failure m -> m = "always" | _ -> false))
 
-let test_pool_retry_rescues_flaky () =
+let test_map_retry_rescues_flaky () =
   (* An item that fails twice then succeeds must not poison the batch when
      retries cover the flakiness. *)
   let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
+  Executor.with_executor ~jobs:4 (fun exec ->
       let out =
-        Domain_pool.map pool ~retries:2
+        Executor.map exec ~retries:2
           (fun x ->
             let k = 1 + Atomic.fetch_and_add attempts.(x) 1 in
             if x = 3 && k <= 2 then failwith "flaky" else x * 10)
@@ -332,14 +333,14 @@ let test_pool_retry_rescues_flaky () =
         out;
       check Alcotest.int "flaky item ran 3 times" 3 (Atomic.get attempts.(3)))
 
-let test_pool_shutdown_after_failed_batch () =
-  (* with_pool's Fun.protect shuts the pool down while the failed batch's
-     error is propagating; this must terminate (no deadlocked worker
-     waiting on work_available) and surface the original exception. *)
+let test_map_shutdown_after_failed_batch () =
+  (* with_executor's Fun.protect shuts the executor down while the failed
+     batch's error is propagating; this must terminate (no deadlocked
+     worker waiting for work) and surface the original exception. *)
   for _ = 1 to 20 do
     match
-      Domain_pool.with_pool ~jobs:4 (fun pool ->
-          Domain_pool.map pool
+      Executor.with_executor ~jobs:4 (fun exec ->
+          Executor.map exec
             (fun x -> if x >= 2 then raise (Boom x) else x)
             (Array.init 64 Fun.id))
     with
@@ -349,7 +350,6 @@ let test_pool_shutdown_after_failed_batch () =
 
 (* --- Executor: work-stealing deque ----------------------------------- *)
 
-module Executor = Asyncolor_util.Executor
 module Ws_deque = Executor.Ws_deque
 module Obs = Asyncolor_obs.Obs
 
@@ -476,18 +476,23 @@ let test_executor_jobs_clamped () =
     [ 0; -3 ];
   Executor.with_executor ~policy:Executor.Serial ~jobs:8 (fun exec ->
       check Alcotest.int "Serial forces jobs=1" 1 (Executor.jobs exec));
-  Domain_pool.with_pool ~jobs:0 (fun pool ->
-      check Alcotest.int "Domain_pool inherits the clamp" 1
-        (Domain_pool.jobs pool));
-  Domain_pool.with_pool ~jobs:(-7) (fun pool ->
-      check Alcotest.int "negative jobs too" 1 (Domain_pool.jobs pool))
+  check Alcotest.bool "jobs:1 defaults to Serial" true
+    (Executor.default_policy ~jobs:1 = Executor.Serial);
+  check Alcotest.bool "jobs:2 defaults to an async window" true
+    (Executor.default_policy ~jobs:2 = Executor.asynchronous ~jobs:2 ())
 
 let test_policy_parsing () =
   let name s = Executor.policy_name (Executor.policy_of_string ~jobs:4 s) in
   check Alcotest.string "serial" "serial" (name "serial");
-  check Alcotest.string "sync" "synchronous" (name "sync");
-  check Alcotest.string "SYNC is case-insensitive" "synchronous" (name "SYNC");
   check Alcotest.string "async" "asynchronous" (name "async");
+  (* "sync" is an alias: the unbounded κ = 1 window, whatever the
+     window/κ arguments say *)
+  List.iter
+    (fun s ->
+      check Alcotest.bool (s ^ " is the unbounded kappa=1 window") true
+        (Executor.policy_of_string ~max_active:3 ~kappa:0.2 ~jobs:4 s
+        = Executor.Asynchronous { max_active = max_int; kappa = 1.0 }))
+    [ "sync"; "SYNC"; "synchronous" ];
   (match Executor.policy_of_string ~jobs:4 "level-sync" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on an unknown policy");
@@ -496,10 +501,13 @@ let test_policy_parsing () =
       check (Alcotest.float 0.0) "kappa clamped to 1" 1.0 kappa;
       check Alcotest.int "max_active defaults to 4*jobs" 8 max_active
   | _ -> Alcotest.fail "asynchronous must build Asynchronous");
-  check (Alcotest.float 0.0) "Synchronous is a full barrier" 1.0
-    (Executor.policy_kappa Executor.Synchronous);
+  check (Alcotest.float 0.0) "Serial is a full barrier" 1.0
+    (Executor.policy_kappa Executor.Serial);
   check (Alcotest.float 0.0) "kappa surfaces from Asynchronous" 0.25
     (Executor.policy_kappa (Executor.asynchronous ~kappa:0.25 ~jobs:2 ()))
+
+(* The level-synchronous fork-join: [--exec-policy sync]. *)
+let sync = Executor.policy_of_string ~jobs:4 "sync"
 
 let test_executor_policies_agree () =
   let input = Array.init 300 Fun.id in
@@ -513,7 +521,7 @@ let test_executor_policies_agree () =
             (Executor.map exec (fun x -> x * 3) input)))
     [
       Executor.Serial;
-      Executor.Synchronous;
+      sync;
       Executor.asynchronous ~kappa:0.5 ~jobs:4 ();
       Executor.asynchronous ~max_active:2 ~jobs:4 ();
     ]
@@ -595,6 +603,28 @@ let test_executor_submit_after_shutdown () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
 
+(* A finished task must not keep its result alive: once the caller has
+   awaited a future and dropped it, the result is garbage even though the
+   executor — and the deque slot the task was taken from — lives on.
+   Submitted from a separate non-inlined function so no stack slot of the
+   test keeps the future. *)
+let[@inline never] submit_await_drop exec weak =
+  let fut = Executor.submit exec (fun () -> Array.make 1024 0) in
+  Weak.set weak 0 (Some (Executor.await fut))
+
+let test_executor_drops_finished_results () =
+  List.iter
+    (fun jobs ->
+      Executor.with_executor ~policy:(Executor.asynchronous ~jobs ()) ~jobs
+        (fun exec ->
+          let weak = Weak.create 1 in
+          submit_await_drop exec weak;
+          Gc.full_major ();
+          check Alcotest.bool
+            (Printf.sprintf "jobs=%d: awaited result collected" jobs)
+            false (Weak.check weak 0)))
+    [ 1; 2 ]
+
 (* --- Executor watchdog (chaos-injected worker crashes) --------------- *)
 
 module Chaos = Asyncolor_resilience.Chaos
@@ -615,7 +645,7 @@ let test_executor_worker_crash_recovery () =
   let input = Array.init 400 Fun.id in
   let expect = Array.map (fun x -> x * x) input in
   let held = ref None in
-  Executor.with_executor ~chaos ~policy:Executor.Synchronous ~jobs:4
+  Executor.with_executor ~chaos ~policy:sync ~jobs:4
     (fun exec ->
       held := Some exec;
       let rounds = ref 0 in
@@ -637,8 +667,8 @@ let test_executor_worker_crash_recovery () =
     ((Chaos.stats chaos).Chaos.injected >= 1)
 
 let test_executor_degradation_ladder () =
-  (* degrade_after:1 walks the policy down a rung on the first worker
-     failure: asynchronous must not still be the policy at the end. *)
+  (* degrade_after:1 degrades the policy on the first worker failure:
+     the ladder is Asynchronous -> Serial, so Serial is where it ends. *)
   let chaos = Chaos.create ~seed:9 ~rate:1.0 ~sites:[ "exec.worker" ] () in
   let input = Array.init 400 Fun.id in
   let held = ref None in
@@ -659,19 +689,19 @@ let test_executor_degradation_ladder () =
   let exec = Option.get !held in
   check Alcotest.bool "policy degraded at least once" true
     (Executor.degradations exec >= 1);
-  check Alcotest.bool "policy walked down from asynchronous" true
-    (Executor.policy_name (Executor.policy exec) <> "asynchronous")
+  check Alcotest.string "policy degraded to serial" "serial"
+    (Executor.policy_name (Executor.policy exec))
 
 let test_executor_chaos_output_identical () =
   let input = Array.init 500 Fun.id in
   let f x = x * 7919 mod 101 in
   let plain =
-    Executor.with_executor ~policy:Executor.Synchronous ~jobs:4 (fun e ->
+    Executor.with_executor ~policy:sync ~jobs:4 (fun e ->
         Executor.map e f input)
   in
   let chaotic =
     let chaos = Chaos.create ~seed:4 ~rate:0.3 ~sites:[ "exec.worker" ] () in
-    Executor.with_executor ~chaos ~policy:Executor.Synchronous ~jobs:4 (fun e ->
+    Executor.with_executor ~chaos ~policy:sync ~jobs:4 (fun e ->
         Executor.map e f input)
   in
   check (Alcotest.array Alcotest.int) "crashes never change the output"
@@ -911,27 +941,30 @@ let () =
           Alcotest.test_case "set_grow" `Quick test_vec_set_grow;
           Alcotest.test_case "to_array" `Quick test_vec_to_array;
         ] );
+      (* Fork-join [Executor.map] cases; the group keeps the name of the
+         facade they were first written against, so test ids stay
+         stable. *)
       ( "domain_pool",
         [
-          Alcotest.test_case "map ordering" `Quick test_pool_map_ordering;
+          Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "jobs=1 vs jobs=4" `Quick
-            test_pool_sequential_matches_parallel;
-          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+            test_map_sequential_matches_parallel;
+          Alcotest.test_case "pool reuse" `Quick test_map_reuse;
           Alcotest.test_case "exception: lowest index" `Quick
-            test_pool_exception_lowest_index;
+            test_map_exception_lowest_index;
           Alcotest.test_case "usable after exception" `Quick
-            test_pool_usable_after_exception;
+            test_map_usable_after_exception;
           Alcotest.test_case "empty input, many jobs" `Quick
-            test_pool_empty_and_jobs_clamp;
+            test_map_empty_and_jobs_clamp;
           Alcotest.test_case "fail-fast: sequential tail skipped" `Quick
-            test_pool_fail_fast_sequential;
+            test_map_fail_fast_sequential;
           Alcotest.test_case "fail-fast: parallel batch cancelled" `Quick
-            test_pool_fail_fast_parallel;
-          Alcotest.test_case "retries exhausted" `Quick test_pool_retry_exhausted;
+            test_map_fail_fast_parallel;
+          Alcotest.test_case "retries exhausted" `Quick test_map_retry_exhausted;
           Alcotest.test_case "retries rescue a flaky item" `Quick
-            test_pool_retry_rescues_flaky;
+            test_map_retry_rescues_flaky;
           Alcotest.test_case "shutdown after failed batch" `Quick
-            test_pool_shutdown_after_failed_batch;
+            test_map_shutdown_after_failed_batch;
         ] );
       ( "ws_deque",
         [
@@ -953,6 +986,8 @@ let () =
             test_executor_async_failure_isolation;
           Alcotest.test_case "submit/await FIFO stream" `Quick
             test_executor_submit_await_stream;
+          Alcotest.test_case "awaited results are not retained" `Quick
+            test_executor_drops_finished_results;
           Alcotest.test_case "submit after shutdown" `Quick
             test_executor_submit_after_shutdown;
           Alcotest.test_case "watchdog: crash recovery" `Quick
