@@ -107,12 +107,8 @@ let e2_palette_check () =
   let graph = Builders.cycle n in
   let idents = Idents.random_permutation (Prng.create ~seed:(seed 1)) n in
   let r = Asyncolor.Algorithm1.run_on_cycle ~idents Adversary.synchronous in
-  fun () ->
-    ignore
-      (Asyncolor.Checker.check
-         ~equal:(fun a b -> a = b)
-         ~in_palette:(Asyncolor.Color.pair_in_palette ~budget:2)
-         graph r.outputs)
+  let check = Asyncolor.Claims.(check a1) ~graph ~on_cycle:true in
+  fun () -> ignore (check r.outputs)
 
 let e5_crossover () =
   let idents = Idents.increasing 256 in

@@ -17,7 +17,7 @@ module Builders = Asyncolor_topology.Builders
 module Idents = Asyncolor_workload.Idents
 module Table = Asyncolor_workload.Table
 module Checker = Asyncolor.Checker
-module Color = Asyncolor.Color
+module Claims = Asyncolor.Claims
 module Budget = Asyncolor_resilience.Budget
 module Stop = Asyncolor_resilience.Stop
 module Diag = Asyncolor_resilience.Diag
@@ -74,71 +74,51 @@ let make_graph ~kind ~seed n =
   | "random3" -> Builders.random_regular (Prng.create ~seed) ~n ~d:3
   | k -> failwith (Printf.sprintf "unknown graph %S" k)
 
-(* Dispatch over the four algorithms, erasing the differing output types
-   into strings for display. *)
-module Show (P : Asyncolor_kernel.Protocol.S) = struct
-  module E = Asyncolor_kernel.Engine.Make (P)
+(* The claims entry of [-a N], for a command that supports algorithms
+   [1..upto]. *)
+let lookup ~cmd ~upto alg =
+  match Claims.find (string_of_int alg) with
+  | Some e when alg <= upto -> e
+  | _ ->
+      failwith (Printf.sprintf "%s supports algorithms 1-%d, not %d" cmd upto alg)
 
-  let run ~pp_output ~equal ~in_palette ~graph ~idents ~adv ~max_steps ~verbose =
-    let engine = E.create ~record_trace:verbose graph ~idents in
-    let r = E.run ~max_steps engine adv in
-    let verdict = Checker.check ~equal ~in_palette graph r.outputs in
-    if verbose then Format.printf "%a@.@." E.pp_spacetime engine;
-    if verbose then
-      List.iter
-        (fun (e : E.event) ->
-          Printf.printf "t=%-4d activated={%s}%s\n" e.time
-            (String.concat "," (List.map string_of_int e.activated))
-            (match e.returned with
-            | [] -> ""
-            | l ->
-                " returned: "
-                ^ String.concat ", "
-                    (List.map (fun (p, o) -> Printf.sprintf "p%d=%s" p (pp_output o)) l)))
-        (E.trace engine);
-    Array.iteri
-      (fun p out ->
-        Printf.printf "p%-4d id=%-8d %s\n" p idents.(p)
-          (match out with
-          | Some o -> "colour " ^ pp_output o
-          | None -> "did not return (crashed or cut off)"))
-      r.outputs;
-    Printf.printf
-      "steps=%d rounds(max activations)=%d all_returned=%b proper=%b palette_ok=%b \
-       distinct=%d\n"
-      r.steps r.rounds r.all_returned verdict.Checker.proper
-      (verdict.Checker.off_palette = [])
-      verdict.Checker.distinct_colors;
-    if not (Checker.ok verdict) then (
-      Format.printf "VIOLATION: %a@." Checker.pp verdict;
-      exit 1)
-end
-
-module Show1 = Show (Asyncolor.Algorithm1.P)
-module Show2 = Show (Asyncolor.Algorithm2.P)
-module Show3 = Show (Asyncolor.Algorithm3.P)
-module Show4 = Show (Asyncolor.Algorithm4.P)
-
-let run_algorithm ~alg ~graph ~idents ~adv ~max_steps ~verbose =
-  let pair_pp (a, b) = Printf.sprintf "(%d,%d)" a b in
-  match alg with
-  | 1 ->
-      Show1.run ~pp_output:pair_pp
-        ~equal:(fun a b -> a = b)
-        ~in_palette:(Color.pair_in_palette ~budget:2)
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | 2 ->
-      Show2.run ~pp_output:string_of_int ~equal:Int.equal ~in_palette:Color.in_five
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | 3 ->
-      Show3.run ~pp_output:string_of_int ~equal:Int.equal ~in_palette:Color.in_five
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | 4 ->
-      Show4.run ~pp_output:pair_pp
-        ~equal:(fun a b -> a = b)
-        ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:(Graph.max_degree graph))
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | n -> failwith (Printf.sprintf "unknown algorithm %d (1-4)" n)
+(* One run, its colouring judged against the algorithm's claimed palette. *)
+let show_run (type o) (c : o Claims.t) ~on_cycle ~graph ~idents ~adv ~max_steps
+    ~verbose =
+  let module P = (val c.protocol) in
+  let module E = Asyncolor_kernel.Engine.Make (P) in
+  let engine = E.create ~record_trace:verbose graph ~idents in
+  let r = E.run ~max_steps engine adv in
+  let verdict = Claims.check c ~graph ~on_cycle r.outputs in
+  if verbose then Format.printf "%a@.@." E.pp_spacetime engine;
+  if verbose then
+    List.iter
+      (fun (e : E.event) ->
+        Printf.printf "t=%-4d activated={%s}%s\n" e.time
+          (String.concat "," (List.map string_of_int e.activated))
+          (match e.returned with
+          | [] -> ""
+          | l ->
+              " returned: "
+              ^ String.concat ", "
+                  (List.map (fun (p, o) -> Printf.sprintf "p%d=%s" p (c.show o)) l)))
+      (E.trace engine);
+  Array.iteri
+    (fun p out ->
+      Printf.printf "p%-4d id=%-8d %s\n" p idents.(p)
+        (match out with
+        | Some o -> "colour " ^ c.show o
+        | None -> "did not return (crashed or cut off)"))
+    r.outputs;
+  Printf.printf
+    "steps=%d rounds(max activations)=%d all_returned=%b proper=%b palette_ok=%b \
+     distinct=%d\n"
+    r.steps r.rounds r.all_returned verdict.Checker.proper
+    (verdict.Checker.off_palette = [])
+    verdict.Checker.distinct_colors;
+  if not (Checker.ok verdict) then (
+    Format.printf "VIOLATION: %a@." Checker.pp verdict;
+    exit 1)
 
 open Cmdliner
 
@@ -405,7 +385,9 @@ let run_cmd =
     let n = Graph.n graph in
     let idents = make_idents ~kind:idents_kind ~seed n in
     let adv = make_adversary ~kind:adv_kind ~seed ~n in
-    run_algorithm ~alg ~graph ~idents ~adv ~max_steps ~verbose
+    let (Claims.Entry c) = lookup ~cmd:"run" ~upto:4 alg in
+    show_run c ~on_cycle:(graph_kind = "cycle") ~graph ~idents ~adv ~max_steps
+      ~verbose
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -426,24 +408,13 @@ let sweep_cmd =
        identifiers and (seed-derived) adversary suite, so the cells fan
        out across domains and the rows merge back in size order — the
        table is byte-identical for every --jobs value. *)
+    let (Claims.Entry c) = lookup ~cmd:"sweep" ~upto:3 alg in
     let row n =
       let graph = Builders.cycle n in
       let idents = make_idents ~kind:idents_kind ~seed n in
-      let suite = Asyncolor_experiments.Harness.adversary_suite ~seed ~n in
       let summary =
-        match alg with
-        | 1 ->
-            let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm1.P) in
-            S.run
-              ~equal:(fun a b -> a = b)
-              ~in_palette:(Color.pair_in_palette ~budget:2) ~graph ~idents suite
-        | 2 ->
-            let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm2.P) in
-            S.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents suite
-        | 3 ->
-            let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm3.P) in
-            S.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents suite
-        | n -> failwith (Printf.sprintf "sweep supports algorithms 1-3, not %d" n)
+        Asyncolor_experiments.Harness.sweep c ~on_cycle:true ~graph ~idents
+          (Asyncolor_experiments.Harness.adversary_suite ~seed)
       in
       [
         string_of_int n;
@@ -594,66 +565,58 @@ let check_cmd =
       | _ -> ());
       Stop.requested ()
     in
-    let go (type s r o) (module P : Asyncolor_kernel.Protocol.S
-          with type state = s and type register = r and type output = o)
-        (in_palette : o -> bool) =
-      let module Exp = Asyncolor_check.Explorer.Make (P) in
-      (* The safety predicate is rebuilt against whichever graph the run
-         actually uses — the CLI-provided cycle for a fresh run, the
-         stored one for --resume — so fresh and resumed runs share every
-         line of the reporting path below. *)
-      let coloring_check graph outs =
-        let v = Checker.check ~equal:(fun a b -> a = b) ~in_palette graph outs in
-        if Checker.ok v then None else Some (Format.asprintf "%a" Checker.pp v)
-      in
-      let t0 = Oclock.monotonic () in
-      let r =
-        Stop.with_signals (fun () ->
-            match resume with
-            | Some path ->
-                let info = Exp.resume_info path in
-                Diag.printf
-                  "resuming %s: %d configs interned, %d pending (n=%d)\n" path
-                  info.ri_configs info.ri_pending
-                  (Graph.n info.ri_graph);
-                Exp.explore_resume ~jobs ?policy ?checkpoint ?budget ~stop
-                  ?spill ~chaos ?retry
-                  ~check_outputs:(coloring_check info.ri_graph) ~obs path
-            | None ->
-                let graph = Builders.cycle n in
-                Exp.explore ~mode ~max_configs ~jobs ?policy ?checkpoint
-                  ?budget ~stop ~symmetry ?spill ~chaos ?retry
-                  ~check_outputs:(coloring_check graph) ~obs graph ~idents)
-      in
-      let dt = elapsed_s t0 in
-      Diag.printf "explored %d configs in %.3fs (%.0f configs/sec, jobs=%d)\n"
-        r.configs dt
-        (float_of_int r.configs /. Float.max dt 1e-9)
-        jobs;
-      Diag.printf "%s\n" (memory_pressure_line ?spill ());
-      chaos_stats_line chaos;
-      finish_obs obs ~trace_out ~metrics;
-      (match budget with
-      | Some b when Budget.exceeded b ->
-          Diag.printf "budget exceeded (%s): truncated report\n"
-            (Budget.describe b)
-      | _ -> ());
-      Format.printf "%a@." Exp.pp_report r;
-      (match r.livelock with
-      | Some v ->
-          Format.printf "lasso schedule: %s@."
-            (String.concat " "
-               (List.map
-                  (fun l -> "{" ^ String.concat "," (List.map string_of_int l) ^ "}")
-                  v.schedule))
-      | None -> ());
-      List.iter (fun (v : Exp.violation) -> Format.printf "violation: %s@." v.message) r.safety
+    let (Claims.Entry c) = lookup ~cmd:"check" ~upto:3 alg in
+    let module P = (val c.protocol) in
+    let module Exp = Asyncolor_check.Explorer.Make (P) in
+    (* The safety predicate is rebuilt against whichever graph the run
+       actually uses — the CLI-provided cycle for a fresh run, the stored
+       one for --resume — so fresh and resumed runs share every line of
+       the reporting path below. *)
+    let coloring_check graph = Claims.check_outputs c ~graph ~on_cycle:true in
+    let t0 = Oclock.monotonic () in
+    let r =
+      Stop.with_signals (fun () ->
+          match resume with
+          | Some path ->
+              let info = Exp.resume_info path in
+              Diag.printf
+                "resuming %s: %d configs interned, %d pending (n=%d)\n" path
+                info.ri_configs info.ri_pending
+                (Graph.n info.ri_graph);
+              Exp.explore_resume ~jobs ?policy ?checkpoint ?budget ~stop
+                ?spill ~chaos ?retry
+                ~check_outputs:(coloring_check info.ri_graph) ~obs path
+          | None ->
+              let graph = Builders.cycle n in
+              Exp.explore ~mode ~max_configs ~jobs ?policy ?checkpoint
+                ?budget ~stop ~symmetry ?spill ~chaos ?retry
+                ~check_outputs:(coloring_check graph) ~obs graph ~idents)
     in
-    match alg with
-    | 1 -> go (module Asyncolor.Algorithm1.P) (Color.pair_in_palette ~budget:2)
-    | 2 -> go (module Asyncolor.Algorithm2.P) Color.in_five
-    | 3 -> go (module Asyncolor.Algorithm3.P) Color.in_five
-    | n -> failwith (Printf.sprintf "check supports algorithms 1-3, not %d" n)
+    let dt = elapsed_s t0 in
+    Diag.printf "explored %d configs in %.3fs (%.0f configs/sec, jobs=%d)\n"
+      r.configs dt
+      (float_of_int r.configs /. Float.max dt 1e-9)
+      jobs;
+    Diag.printf "%s\n" (memory_pressure_line ?spill ());
+    chaos_stats_line chaos;
+    finish_obs obs ~trace_out ~metrics;
+    (match budget with
+    | Some b when Budget.exceeded b ->
+        Diag.printf "budget exceeded (%s): truncated report\n"
+          (Budget.describe b)
+    | _ -> ());
+    Format.printf "%a@." Exp.pp_report r;
+    (match r.livelock with
+    | Some v ->
+        Format.printf "lasso schedule: %s@."
+          (String.concat " "
+             (List.map
+                (fun l -> "{" ^ String.concat "," (List.map string_of_int l) ^ "}")
+                v.schedule))
+    | None -> ());
+    List.iter
+      (fun (v : Exp.violation) -> Format.printf "violation: %s@." v.message)
+      r.safety
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
@@ -682,44 +645,38 @@ let lockhunt_cmd =
     let report (findings : (int * int) list) total =
       Printf.printf "%d/%d pairs lock\n" (List.length findings) total
     in
-    let hunt (type s r) (module P : Asyncolor_kernel.Protocol.S
-          with type state = s and type register = r) =
-      let module H = Asyncolor_check.Lockhunt.Make (P) in
-      let t0 = Oclock.monotonic () in
-      let findings =
-        Stop.with_signals (fun () ->
-            H.hunt ~jobs ?policy ?budget ~stop:Stop.requested ~chaos ~obs
-              graph ~idents)
-      in
-      let dt = elapsed_s t0 in
-      Diag.printf "%d probes in %.3fs (%.0f probes/sec, jobs=%d)\n"
-        (List.length findings) dt
-        (float_of_int (List.length findings) /. Float.max dt 1e-9)
-        jobs;
-      Diag.printf "%s\n" (memory_pressure_line ());
-      chaos_stats_line chaos;
-      let nedges = List.length (Graph.edges graph) in
-      if List.length findings < nedges then
-        Printf.printf "hunt cut short: probed %d/%d pairs\n"
-          (List.length findings) nedges;
-      List.iter
-        (fun (f : H.finding) ->
-          if f.locked then
-            Table.add_row table
-              [
-                Printf.sprintf "(%d,%d)" (fst f.pair) (snd f.pair);
-                "yes";
-                string_of_int f.steps;
-                Printf.sprintf "(%d,%d)" (fst f.pair_activations) (snd f.pair_activations);
-              ])
-        findings;
-      report (H.locked findings) (List.length findings)
+    let (Claims.Entry c) = lookup ~cmd:"lockhunt" ~upto:3 alg in
+    let module P = (val c.protocol) in
+    let module H = Asyncolor_check.Lockhunt.Make (P) in
+    let t0 = Oclock.monotonic () in
+    let findings =
+      Stop.with_signals (fun () ->
+          H.hunt ~jobs ?policy ?budget ~stop:Stop.requested ~chaos ~obs
+            graph ~idents)
     in
-    (match alg with
-    | 1 -> hunt (module Asyncolor.Algorithm1.P)
-    | 2 -> hunt (module Asyncolor.Algorithm2.P)
-    | 3 -> hunt (module Asyncolor.Algorithm3.P)
-    | n -> failwith (Printf.sprintf "lockhunt supports algorithms 1-3, not %d" n));
+    let dt = elapsed_s t0 in
+    Diag.printf "%d probes in %.3fs (%.0f probes/sec, jobs=%d)\n"
+      (List.length findings) dt
+      (float_of_int (List.length findings) /. Float.max dt 1e-9)
+      jobs;
+    Diag.printf "%s\n" (memory_pressure_line ());
+    chaos_stats_line chaos;
+    let nedges = List.length (Graph.edges graph) in
+    if List.length findings < nedges then
+      Printf.printf "hunt cut short: probed %d/%d pairs\n"
+        (List.length findings) nedges;
+    List.iter
+      (fun (f : H.finding) ->
+        if f.locked then
+          Table.add_row table
+            [
+              Printf.sprintf "(%d,%d)" (fst f.pair) (snd f.pair);
+              "yes";
+              string_of_int f.steps;
+              Printf.sprintf "(%d,%d)" (fst f.pair_activations) (snd f.pair_activations);
+            ])
+      findings;
+    report (H.locked findings) (List.length findings);
     Table.print table;
     finish_obs obs ~trace_out ~metrics
   in
@@ -795,12 +752,10 @@ let fuzz_cmd =
       announce_seed seed;
       let algos =
         List.map
-          (function
-            | "1" -> Fz.Scenario.A1
-            | "2" -> Fz.Scenario.A2
-            | "2s" -> Fz.Scenario.A2s
-            | "3" -> Fz.Scenario.A3
-            | a -> failwith (Printf.sprintf "unknown algorithm %S (1, 2, 2s, 3)" a))
+          (fun a ->
+            match Fz.Scenario.algo_of_string a with
+            | Some algo -> algo
+            | None -> failwith (Printf.sprintf "unknown algorithm %S (1, 2, 2s, 3)" a))
           algos
       in
       let budget = make_budget ~time_s ~mem_mb in
@@ -1085,7 +1040,9 @@ let replay_cmd =
         let graph = Builders.cycle n in
         let idents = make_idents ~kind:idents_kind ~seed n in
         let adv = Adversary.finite (Adversary.parse sched) in
-        run_algorithm ~alg ~graph ~idents ~adv ~max_steps:1_000_000 ~verbose
+        let (Claims.Entry c) = lookup ~cmd:"replay" ~upto:4 alg in
+        show_run c ~on_cycle:true ~graph ~idents ~adv ~max_steps:1_000_000
+          ~verbose
     | _ -> failwith "replay needs exactly one of --schedule and --trace"
   in
   Cmd.v (Cmd.info "replay" ~doc)

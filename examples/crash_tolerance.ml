@@ -41,8 +41,7 @@ let () =
   Printf.printf "colours around the ring: %s\n" (Buffer.contents line);
 
   let verdict =
-    Asyncolor.Checker.check ~equal:Int.equal ~in_palette:Asyncolor.Color.in_five graph
-      result.outputs
+    Asyncolor.Claims.(check a3) ~graph ~on_cycle:true result.outputs
   in
   Printf.printf "survivors: %d | properly coloured: %b | worst activations: %d\n"
     verdict.returned verdict.proper result.rounds;

@@ -32,8 +32,7 @@ let () =
   (* Validate the two guarantees of Theorem 4.4. *)
   let graph = Asyncolor_topology.Builders.cycle n in
   let verdict =
-    Asyncolor.Checker.check ~equal:Int.equal ~in_palette:Asyncolor.Color.in_five graph
-      result.outputs
+    Asyncolor.Claims.(check a3) ~graph ~on_cycle:true result.outputs
   in
   Printf.printf
     "\nproper colouring: %b | palette {0..4}: %b | max activations per process: %d\n"

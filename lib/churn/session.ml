@@ -7,6 +7,7 @@ module Prng = Asyncolor_util.Prng
 module Executor = Asyncolor_util.Executor
 module Obs = Asyncolor_obs.Obs
 module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 
 (* Only the wait-free cycle algorithms make sense under churn: the
    recovery invariant needs a bound on how long healing may take, and
@@ -134,31 +135,9 @@ let ring_dist n a b =
   let d = abs (a - b) in
   min d (n - d)
 
-(* The protocol plus what the invariant suite needs: palette membership
-   and the wait-freedom activation bound (both cycle-only here). *)
-module type PROTO = sig
-  include Asyncolor_kernel.Protocol.S with type output = int
-
-  val in_palette : int -> bool
-  val bound : n:int -> int
-end
-
-let proto : algo -> (module PROTO) = function
-  | A2 ->
-      (module struct
-        include Asyncolor.Algorithm2.P
-
-        (* 5 colours on the cycle: the 2Δ+1 palette at Δ = 2. *)
-        let in_palette = Asyncolor.Algorithm2.in_general_palette ~max_degree:2
-        let bound ~n = Asyncolor.Algorithm2.activation_bound n
-      end)
-  | A3 ->
-      (module struct
-        include Asyncolor.Algorithm3.P
-
-        let in_palette = Asyncolor.Color.in_five
-        let bound ~n = Asyncolor.Algorithm3.activation_bound n
-      end)
+let claims : algo -> int Claims.t = function
+  | A2 -> Claims.a2
+  | A3 -> Claims.a3
 
 (* Observability: counters are sharded per domain in the sink, so
    parallel sessions never contend; everything is out-of-band and leaves
@@ -201,7 +180,8 @@ let max_violations = 64
 let run ?(obs = Obs.disabled) cfg ~seed ~session =
   validate_config cfg;
   let octx = make_octx obs in
-  let (module P) = proto cfg.algo in
+  let c = claims cfg.algo in
+  let module P = (val c.protocol) in
   let module E = Asyncolor_kernel.Engine.Make (P) in
   let n = cfg.n in
   let graph = Builders.cycle n in
@@ -210,7 +190,8 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
   let prng = Prng.create ~seed:base in
   let idents = Idents.random_sparse prng ~n ~universe in
   let engine = E.create graph ~idents in
-  let heal_bound = P.bound ~n in
+  let heal_bound = Option.get (c.bound ~n ~on_cycle:true) in
+  let check = Claims.check c ~graph ~on_cycle:true in
   let up = Array.make n true in
   (* has this node's current incarnation already been counted as
      returned (latency bookkeeping)? *)
@@ -390,10 +371,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     (* the coloring the quiet period restored must be proper and on
        palette — the other half of the recovery invariant *)
     if not !give_up then begin
-      let verdict =
-        Checker.check ~equal:Int.equal ~in_palette:P.in_palette graph
-          (E.outputs engine)
-      in
+      let verdict = check (E.outputs engine) in
       if not (Checker.ok verdict) then
         add_violation ~epoch "churn-recovery"
           (Format.asprintf "healed coloring invalid: %a" Checker.pp verdict)

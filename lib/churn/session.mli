@@ -18,7 +18,9 @@
     + {b churn-recovery} — after the last churn event, a quiet
       round-robin schedule (the sequential adversary) restores a proper
       coloring with no process exceeding the algorithm's wait-freedom
-      activation bound, and the healed coloring is on palette.  The heal
+      activation bound, and the healed coloring is on palette (both read
+      once per session from the algorithm's {!Asyncolor.Claims} entry,
+      on the cycle).  The heal
       schedule is sequential by design: recovery leaves the ring outside
       the static model, where exact synchronous lockstep can sustain a
       period-2 oscillation between adjacent fresh processes forever;

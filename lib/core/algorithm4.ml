@@ -10,7 +10,7 @@ end
 module E = Asyncolor_kernel.Engine.Make (P)
 
 let palette_size ~max_degree = Color.pair_palette_size ~budget:max_degree
-let in_palette ~max_degree pair = Color.pair_in_palette ~budget:max_degree pair
+let in_palette ~max_degree (a, b) = a >= 0 && b >= 0 && a + b <= max_degree
 
 let run ?max_steps g ~idents adv =
   let engine = E.create g ~idents in

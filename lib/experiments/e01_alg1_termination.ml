@@ -7,7 +7,7 @@ module Table = Asyncolor_workload.Table
 module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
 module Builders = Asyncolor_topology.Builders
-module Sweep = Harness.Sweep (Asyncolor.Algorithm1.P)
+module Claims = Asyncolor.Claims
 
 let sizes ~quick =
   if quick then [ 3; 4; 5; 8; 13; 21; 34 ]
@@ -31,13 +31,10 @@ let run ?(quick = false) ?(seed = 42) () =
       List.iter
         (fun (wname, idents) ->
           let s =
-            Sweep.run
-              ~equal:(fun a b -> a = b)
-              ~in_palette:(Asyncolor.Color.pair_in_palette ~budget:2)
-              ~graph ~idents
-              (Harness.adversary_suite ~seed ~n)
+            Harness.sweep Claims.a1 ~on_cycle:true ~graph ~idents
+              (Harness.adversary_suite ~seed)
           in
-          let bound = Asyncolor.Algorithm1.activation_bound n in
+          let bound = Option.get (Claims.a1.bound ~n ~on_cycle:true) in
           let row_ok =
             s.worst_rounds <= bound && s.all_proper && s.all_palette
             && s.all_returned

@@ -8,10 +8,8 @@ module Table = Asyncolor_workload.Table
 module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
 module Builders = Asyncolor_topology.Builders
-module Color = Asyncolor.Color
-module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 module Explorer = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm1.P)
-module Sweep = Harness.Sweep (Asyncolor.Algorithm1.P)
 
 let exhaustive_cases =
   [ (3, [| 5; 1; 9 |]); (3, [| 0; 1; 2 |]); (3, [| 2; 0; 1 |]); (4, [| 5; 1; 9; 4 |]);
@@ -26,16 +24,7 @@ let run ?(quick = false) ?(seed = 43) () =
   List.iter
     (fun (n, idents) ->
       let graph = Builders.cycle n in
-      let check_outputs outs =
-        let v =
-          Checker.check
-            ~equal:(fun a b -> a = b)
-            ~in_palette:(Color.pair_in_palette ~budget:2)
-            graph outs
-        in
-        if Checker.ok v then None
-        else Some (Format.asprintf "%a" Checker.pp v)
-      in
+      let check_outputs = Claims.check_outputs Claims.a1 ~graph ~on_cycle:true in
       let r = Explorer.explore graph ~idents ~check_outputs in
       ok := !ok && r.complete && r.wait_free && r.safety = [];
       Table.add_row ex_table
@@ -56,11 +45,8 @@ let run ?(quick = false) ?(seed = 43) () =
       let graph = Builders.cycle n in
       let idents = Idents.random_permutation (Prng.create ~seed:(seed + n)) n in
       let s =
-        Sweep.run
-          ~equal:(fun a b -> a = b)
-          ~in_palette:(Color.pair_in_palette ~budget:2)
-          ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+        Harness.sweep Claims.a1 ~on_cycle:true ~graph ~idents
+          (Harness.adversary_suite ~seed)
       in
       ok := !ok && s.all_proper && s.all_palette && s.distinct_colors_max <= 6;
       Table.add_row sweep_table

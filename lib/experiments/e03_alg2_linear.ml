@@ -9,8 +9,7 @@ module Table = Asyncolor_workload.Table
 module Idents = Asyncolor_workload.Idents
 module Stats = Asyncolor_workload.Stats
 module Builders = Asyncolor_topology.Builders
-module Color = Asyncolor.Color
-module Sweep = Harness.Sweep (Asyncolor.Algorithm2.P)
+module Claims = Asyncolor.Claims
 
 let sizes ~quick =
   if quick then [ 4; 8; 16; 32; 64 ] else [ 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
@@ -28,11 +27,10 @@ let run ?(quick = false) ?(seed = 44) () =
       List.iter
         (fun (wname, idents) ->
           let s =
-            Sweep.run
-              ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents
-              (Harness.adversary_suite ~seed ~n)
+            Harness.sweep Claims.a2 ~on_cycle:true ~graph ~idents
+              (Harness.adversary_suite ~seed)
           in
-          let bound = Asyncolor.Algorithm2.activation_bound n in
+          let bound = Option.get (Claims.a2.bound ~n ~on_cycle:true) in
           ok :=
             !ok && s.worst_rounds <= bound && s.all_proper && s.all_palette
             && s.all_returned

@@ -10,8 +10,7 @@ module Prng = Asyncolor_util.Prng
 module Logstar = Asyncolor_cv.Logstar
 module Builders = Asyncolor_topology.Builders
 module Adversary = Asyncolor_kernel.Adversary
-module Color = Asyncolor.Color
-module Sweep = Harness.Sweep (Asyncolor.Algorithm3.P)
+module Claims = Asyncolor.Claims
 
 let sizes ~quick =
   if quick then [ 3; 10; 100; 1_000 ]
@@ -38,7 +37,7 @@ let run ?(quick = false) ?(seed = 45) () =
     (fun n ->
       let graph = Builders.cycle n in
       let suite =
-        if n <= 1_000 then Harness.adversary_suite ~seed ~n else light_suite ~seed
+        if n <= 1_000 then Harness.adversary_suite ~seed else light_suite ~seed
       in
       let workloads =
         if n <= 100_000 then
@@ -58,15 +57,14 @@ let run ?(quick = false) ?(seed = 45) () =
              sweeps cheap while still detecting locks. *)
           let max_steps = if n > 1_000 then 10_000 else 50_000 + (6 * n * n) in
           let s =
-            Sweep.run ~max_steps ~equal:Int.equal ~in_palette:Color.in_five ~graph
-              ~idents suite
+            Harness.sweep ~max_steps Claims.a3 ~on_cycle:true ~graph ~idents suite
           in
           let ls = Logstar.log_star_int n in
           let ratio = float_of_int s.worst_rounds /. float_of_int (ls + 1) in
           if ratio > !worst_ratio then worst_ratio := ratio;
           ok :=
             !ok
-            && s.worst_rounds <= Asyncolor.Algorithm3.activation_bound n
+            && s.worst_rounds <= Option.get (Claims.a3.bound ~n ~on_cycle:true)
             && s.all_proper && s.all_palette && s.all_returned
             && not s.livelocked;
           Table.add_row table

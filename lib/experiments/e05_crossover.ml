@@ -7,9 +7,7 @@
 module Table = Asyncolor_workload.Table
 module Idents = Asyncolor_workload.Idents
 module Builders = Asyncolor_topology.Builders
-module Color = Asyncolor.Color
-module Sweep2 = Harness.Sweep (Asyncolor.Algorithm2.P)
-module Sweep3 = Harness.Sweep (Asyncolor.Algorithm3.P)
+module Claims = Asyncolor.Claims
 
 let sizes ~quick =
   if quick then [ 4; 8; 16; 32 ] else [ 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
@@ -24,13 +22,9 @@ let run ?(quick = false) ?(seed = 46) () =
     (fun n ->
       let graph = Builders.cycle n in
       let idents = Idents.increasing n in
-      let suite () = Harness.adversary_suite ~seed ~n in
-      let s2 =
-        Sweep2.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents (suite ())
-      in
-      let s3 =
-        Sweep3.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents (suite ())
-      in
+      let suite () = Harness.adversary_suite ~seed in
+      let s2 = Harness.sweep Claims.a2 ~on_cycle:true ~graph ~idents (suite ()) in
+      let s3 = Harness.sweep Claims.a3 ~on_cycle:true ~graph ~idents (suite ()) in
       ok :=
         !ok && s2.all_proper && s3.all_proper && (not s2.livelocked)
         && not s3.livelocked;

@@ -15,8 +15,7 @@
 
 module Table = Asyncolor_workload.Table
 module Builders = Asyncolor_topology.Builders
-module Color = Asyncolor.Color
-module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 module Explorer2 = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P)
 module SweepR = Harness.Sweep (Asyncolor_shm.Renaming.P)
 
@@ -24,6 +23,7 @@ let ident_assignments = [ [| 5; 1; 9 |]; [| 0; 1; 2 |]; [| 2; 0; 1 |]; [| 7; 3; 
 
 let run ?quick:(_ = false) ?(seed = 47) () =
   let graph = Builders.cycle 3 in
+  let check = Claims.check_outputs Claims.a2 ~graph ~on_cycle:true in
   let ok = ref true in
   let colors_seen = Hashtbl.create 8 in
   let table =
@@ -37,10 +37,7 @@ let run ?quick:(_ = false) ?(seed = 47) () =
         Array.iter
           (function Some c -> Hashtbl.replace colors_seen c () | None -> ())
           outs;
-        let v =
-          Checker.check ~equal:Int.equal ~in_palette:Color.in_five graph outs
-        in
-        if Checker.ok v then None else Some (Format.asprintf "%a" Checker.pp v)
+        check outs
       in
       List.iter
         (fun (mode_name, mode) ->
@@ -75,7 +72,7 @@ let run ?quick:(_ = false) ?(seed = 47) () =
         SweepR.run ~equal:Int.equal
           ~in_palette:(fun c -> c >= 0 && c <= Asyncolor_shm.Renaming.name_bound 3)
           ~graph:(Builders.complete 3) ~idents
-          (Harness.adversary_suite ~seed ~n:3)
+          (Harness.adversary_suite ~seed)
       in
       (* distinct names = proper colouring on the clique *)
       ok := !ok && s.all_proper && s.all_palette && s.all_returned;

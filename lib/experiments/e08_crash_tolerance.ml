@@ -8,8 +8,8 @@ module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
 module Builders = Asyncolor_topology.Builders
 module Adversary = Asyncolor_kernel.Adversary
-module Color = Asyncolor.Color
 module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 module E3 = Asyncolor.Algorithm3.E
 
 let sizes ~quick = if quick then [ 16; 64 ] else [ 16; 64; 256; 1024 ]
@@ -26,6 +26,7 @@ let run ?(quick = false) ?(seed = 49) () =
   List.iter
     (fun n ->
       let graph = Builders.cycle n in
+      let check = Claims.check Claims.a3 ~graph ~on_cycle:true in
       List.iter
         (fun rate ->
           let crashed_total = ref 0 in
@@ -41,10 +42,7 @@ let run ?(quick = false) ?(seed = 49) () =
             in
             let engine = E3.create graph ~idents in
             let r = E3.run ~max_steps:200_000 engine adv in
-            let v =
-              Checker.check ~equal:Int.equal ~in_palette:Color.in_five graph
-                r.outputs
-            in
+            let v = check r.outputs in
             let crashed =
               Array.length (Array.of_seq (Seq.filter Option.is_none (Array.to_seq r.outputs)))
             in

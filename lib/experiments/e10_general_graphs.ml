@@ -8,8 +8,7 @@ module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
 module Graph = Asyncolor_topology.Graph
 module Builders = Asyncolor_topology.Builders
-module Color = Asyncolor.Color
-module Sweep = Harness.Sweep (Asyncolor.Algorithm4.P)
+module Claims = Asyncolor.Claims
 
 let zoo ~quick ~seed =
   let prng = Prng.create ~seed in
@@ -48,11 +47,8 @@ let run ?(quick = false) ?(seed = 51) () =
       let delta = Graph.max_degree graph in
       let idents = Idents.random_permutation (Prng.create ~seed:(seed + n)) n in
       let s =
-        Sweep.run
-          ~equal:(fun a b -> a = b)
-          ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:delta)
-          ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+        Harness.sweep Claims.a4 ~on_cycle:false ~graph ~idents
+          (Harness.adversary_suite ~seed)
       in
       let row_ok =
         s.all_proper && s.all_palette && s.all_returned && not s.livelocked

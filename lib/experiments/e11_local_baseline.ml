@@ -35,8 +35,8 @@ let run ?(quick = false) ?(seed = 52) () =
         && cv.cv_iterations <= Cv.rounds_upper_bound n;
       let r3 = A3.run_on_cycle ~idents Adversary.synchronous in
       let v =
-        Asyncolor.Checker.check ~equal:Int.equal ~in_palette:Asyncolor.Color.in_five
-          (Builders.cycle n) r3.outputs
+        Asyncolor.Claims.(check a3) ~graph:(Builders.cycle n) ~on_cycle:true
+          r3.outputs
       in
       ok := !ok && r3.all_returned && Asyncolor.Checker.ok v;
       Table.add_row table

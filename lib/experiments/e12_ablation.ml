@@ -8,10 +8,7 @@
 module Table = Asyncolor_workload.Table
 module Idents = Asyncolor_workload.Idents
 module Builders = Asyncolor_topology.Builders
-module Color = Asyncolor.Color
-module Sweep1 = Harness.Sweep (Asyncolor.Algorithm1.P)
-module Sweep2 = Harness.Sweep (Asyncolor.Algorithm2.P)
-module Sweep3 = Harness.Sweep (Asyncolor.Algorithm3.P)
+module Claims = Asyncolor.Claims
 module SweepR = Harness.Sweep (Asyncolor_shm.Renaming.P)
 
 let sizes ~quick = if quick then [ 4; 8; 16 ] else [ 4; 8; 16; 32; 64; 128; 256 ]
@@ -28,18 +25,10 @@ let run ?(quick = false) ?(seed = 53) () =
     (fun n ->
       let graph = Builders.cycle n in
       let idents = Idents.increasing n in
-      let suite () = Harness.adversary_suite ~seed ~n in
-      let s1 =
-        Sweep1.run
-          ~equal:(fun a b -> a = b)
-          ~in_palette:(Color.pair_in_palette ~budget:2) ~graph ~idents (suite ())
-      in
-      let s2 =
-        Sweep2.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents (suite ())
-      in
-      let s3 =
-        Sweep3.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents (suite ())
-      in
+      let suite () = Harness.adversary_suite ~seed in
+      let s1 = Harness.sweep Claims.a1 ~on_cycle:true ~graph ~idents (suite ()) in
+      let s2 = Harness.sweep Claims.a2 ~on_cycle:true ~graph ~idents (suite ()) in
+      let s3 = Harness.sweep Claims.a3 ~on_cycle:true ~graph ~idents (suite ()) in
       let name_bound = Asyncolor_shm.Renaming.name_bound n in
       let sr =
         SweepR.run ~equal:Int.equal

@@ -28,12 +28,10 @@ module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
 module Builders = Asyncolor_topology.Builders
 module Adversary = Asyncolor_kernel.Adversary
-module Color = Asyncolor.Color
+module Claims = Asyncolor.Claims
 module Exp1 = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm1.P)
 module Exp2 = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P)
 module Exp3 = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm3.P)
-module Sweep2 = Harness.Sweep (Asyncolor.Algorithm2.P)
-module Sweep3 = Harness.Sweep (Asyncolor.Algorithm3.P)
 
 let pp_sched s =
   String.concat " "
@@ -135,10 +133,10 @@ let run ?(quick = false) ?(seed = 54) () =
               ]
           in
           probe "alg2"
-            (Sweep2.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents
+            (Harness.sweep Claims.a2 ~on_cycle:true ~graph ~idents
                Harness.symmetric_suite);
           probe "alg3"
-            (Sweep3.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents
+            (Harness.sweep Claims.a3 ~on_cycle:true ~graph ~idents
                Harness.symmetric_suite))
         [
           ("zigzag", Idents.zigzag n);

@@ -69,8 +69,8 @@ let run ?(quick = false) ?(seed = 55) () =
           (Adversary.random_subsets (Prng.split prng) ~p:0.5)
       in
       let v3 =
-        Checker.check ~equal:Int.equal ~in_palette:Asyncolor.Color.in_five
-          (Builders.cycle n) r3.outputs
+        Asyncolor.Claims.(check a3) ~graph:(Builders.cycle n) ~on_cycle:true
+          r3.outputs
       in
       ok := !ok && Checker.ok v3;
       Table.add_row table

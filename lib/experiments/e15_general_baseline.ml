@@ -12,7 +12,6 @@ module Prng = Asyncolor_util.Prng
 module Graph = Asyncolor_topology.Graph
 module Builders = Asyncolor_topology.Builders
 module Linial = Asyncolor_local.Linial
-module Sweep4 = Harness.Sweep (Asyncolor.Algorithm4.P)
 
 let zoo ~quick ~seed =
   let prng = Prng.create ~seed in
@@ -59,11 +58,8 @@ let run ?(quick = false) ?(seed = 56) () =
         && full.final_palette = delta + 1;
       (* async side *)
       let s4 =
-        Sweep4.run
-          ~equal:(fun a b -> a = b)
-          ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:delta)
-          ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+        Harness.sweep Asyncolor.Claims.a4 ~on_cycle:false ~graph ~idents
+          (Harness.adversary_suite ~seed)
       in
       ok := !ok && s4.all_proper && s4.all_palette && not s4.livelocked;
       Table.add_row table

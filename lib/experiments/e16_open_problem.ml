@@ -27,9 +27,8 @@ module Prng = Asyncolor_util.Prng
 module Graph = Asyncolor_topology.Graph
 module Builders = Asyncolor_topology.Builders
 module A2 = Asyncolor.Algorithm2
-module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 module Explorer = Asyncolor_check.Explorer.Make (A2.P)
-module Sweep = Harness.Sweep (A2.P)
 
 let paw = lazy (Graph.make ~n:4 ~edges:[ (0, 1); (1, 2); (2, 0); (2, 3) ])
 
@@ -67,14 +66,7 @@ let run ?(quick = false) ?(seed = 57) () =
   List.iter
     (fun (gname, graph, idents, max_configs) ->
       let delta = Graph.max_degree graph in
-      let check_outputs outs =
-        let v =
-          Checker.check ~equal:Int.equal
-            ~in_palette:(A2.in_general_palette ~max_degree:delta)
-            graph outs
-        in
-        if Checker.ok v then None else Some (Format.asprintf "%a" Checker.pp v)
-      in
+      let check_outputs = Claims.check_outputs Claims.a2 ~graph ~on_cycle:false in
       let r =
         Explorer.explore ~mode:`Singletons ~max_configs graph ~idents
           ~check_outputs
@@ -111,10 +103,8 @@ let run ?(quick = false) ?(seed = 57) () =
       let delta = Graph.max_degree graph in
       let idents = Idents.random_permutation (Prng.create ~seed:(seed + n)) n in
       let s =
-        Sweep.run ~equal:Int.equal
-          ~in_palette:(A2.in_general_palette ~max_degree:delta)
-          ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+        Harness.sweep Claims.a2 ~on_cycle:false ~graph ~idents
+          (Harness.adversary_suite ~seed)
       in
       ok :=
         !ok && s.all_proper && s.all_palette && s.all_returned && not s.livelocked;

@@ -31,6 +31,7 @@ module Prng = Asyncolor_util.Prng
 module Builders = Asyncolor_topology.Builders
 module A2s = Asyncolor.Algorithm2s
 module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 module Explorer = Asyncolor_check.Explorer.Make (A2s.P)
 module Explorer1 = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm1.P)
 module Hunt = Asyncolor_check.Lockhunt.Make (A2s.P)
@@ -79,12 +80,15 @@ let run ?(quick = false) ?(seed = 58) () =
   List.iter
     (fun (n, idents, max_configs) ->
       let graph = Builders.cycle n in
-      let check_outputs outs =
-        let v = Checker.check ~equal:Int.equal ~in_palette:A2s.in_palette graph outs in
-        if Checker.ok v then None else Some "bad colouring"
+      let check_outputs c = Claims.check_outputs c ~graph ~on_cycle:true in
+      let r =
+        Explorer.explore ~max_configs graph ~idents
+          ~check_outputs:(check_outputs Claims.a2s)
       in
-      let r = Explorer.explore ~max_configs graph ~idents ~check_outputs in
-      let r1 = Explorer1.explore ~max_configs graph ~idents in
+      let r1 =
+        Explorer1.explore ~max_configs graph ~idents
+          ~check_outputs:(check_outputs Claims.a1)
+      in
       (* safety always; Algorithm 1 complete and wait-free always.  For
          Algorithm 2S either the exploration is exhaustive or it found a
          livelock lasso — which is conclusive even when truncated, since
@@ -92,7 +96,7 @@ let run ?(quick = false) ?(seed = 58) () =
       ok :=
         !ok
         && (r.complete || not r.wait_free)
-        && r.safety = [] && r1.complete && r1.wait_free;
+        && r.safety = [] && r1.safety = [] && r1.complete && r1.wait_free;
       if n = 4 && idents = [| 0; 1; 2; 3 |] && not r.wait_free then
         c4_monotone_refuted := true;
       Table.add_row ex_table
@@ -142,10 +146,7 @@ let run ?(quick = false) ?(seed = 58) () =
         A2s.run_on_cycle ~max_steps:(50_000 + (6 * n))
           ~idents:(Idents.increasing n) Asyncolor_kernel.Adversary.synchronous
       in
-      let v =
-        Checker.check ~equal:Int.equal ~in_palette:A2s.in_palette (Builders.cycle n)
-          r.outputs
-      in
+      let v = Claims.(check a2s) ~graph:(Builders.cycle n) ~on_cycle:true r.outputs in
       ok := !ok && Checker.ok v;
       Table.add_row price_table
         [

@@ -2,12 +2,12 @@ module Adversary = Asyncolor_kernel.Adversary
 module Prng = Asyncolor_util.Prng
 module Executor = Asyncolor_util.Executor
 module Checker = Asyncolor.Checker
+module Claims = Asyncolor.Claims
 
 let map_cells ?jobs ?policy f cells =
   Executor.with_executor ?policy ?jobs (fun exec -> Executor.map_list exec f cells)
 
-let adversary_suite ~seed ~n =
-  ignore n;
+let adversary_suite ~seed =
   let prng k = Prng.create ~seed:(seed + k) in
   [
     Adversary.synchronous;
@@ -83,3 +83,11 @@ module Sweep (P : Asyncolor_kernel.Protocol.S) = struct
       adversaries;
     !summary
 end
+
+let sweep (type o) ?max_steps (c : o Claims.t) ~on_cycle ~graph ~idents
+    adversaries =
+  let module P = (val c.protocol) in
+  let module S = Sweep (P) in
+  S.run ?max_steps ~equal:c.equal
+    ~in_palette:(Claims.in_palette c ~graph ~on_cycle)
+    ~graph ~idents adversaries

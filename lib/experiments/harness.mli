@@ -21,7 +21,7 @@ val map_cells :
     explicit policy) and [~policy:Serial] run each cell inline in the
     calling domain, with no domain spawned. *)
 
-val adversary_suite : seed:int -> n:int -> Adversary.t list
+val adversary_suite : seed:int -> Adversary.t list
 (** The standard stress suite: synchronous, sequential, round-robin,
     random singletons and random subsets (three densities).  Fresh
     (independently seeded) on every call.  Deliberately excludes the
@@ -60,3 +60,13 @@ module Sweep (P : Asyncolor_kernel.Protocol.S) : sig
     Adversary.t list ->
     run_summary
 end
+
+val sweep :
+  ?max_steps:int ->
+  'o Asyncolor.Claims.t ->
+  on_cycle:bool ->
+  graph:Asyncolor_topology.Graph.t ->
+  idents:int array ->
+  Adversary.t list ->
+  run_summary
+(** {!Sweep} of a claims entry's protocol against its claimed palette. *)

@@ -25,11 +25,13 @@
     + {b churn-fresh-ident} — installed identifiers stay pairwise
       distinct after every recovery.
 
-    The suite is pluggable at the [ALG] seam: a protocol plus its palette
-    claim and activation bound.  {!Mutation} supplies deliberately broken
-    protocols through the same seam — except the ["churn-"] mutants,
-    whose planted bug corrupts how this module applies recovery events
-    while the protocol itself stays clean. *)
+    Palettes and bounds are read from the algorithm's
+    {!Asyncolor.Claims} entry, once per run, with [on_cycle] set exactly
+    for [Cycle] topologies ([Complete 3] is judged off the cycle).
+    {!Mutation} supplies deliberately broken protocols, each judged by
+    the claims of the algorithm it breaks — except the ["churn-"]
+    mutants, whose planted bug corrupts how this module applies recovery
+    events while the protocol itself stays clean. *)
 
 type violation = { invariant : string; message : string }
 
