@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick examples experiments coverage clean
+.PHONY: all build test bench bench-quick csv examples experiments coverage clean
 
 all: build
 
@@ -10,17 +10,19 @@ build:
 test:
 	dune runtest
 
-# Full experiment tables + Bechamel timings (≈ 2-3 min)
+# The repository benchmark (BENCHMARK.json): every workload, one JSON
+# result line each (see perfbench/README.md)
 bench:
-	dune exec bench/main.exe
+	python3 perfbench/run.py
 
+# The benchmark's own smoke test on reduced instances (about a minute)
 bench-quick:
-	dune exec bench/main.exe -- --quick
+	python3 perfbench/smoke.py
 
 # Dump every experiment table as CSV into ./results
 csv:
 	mkdir -p results
-	dune exec bench/main.exe -- --no-bench --csv results
+	dune exec bin/asyncolor_cli.exe -- experiments --csv results
 
 examples:
 	dune exec examples/quickstart.exe

@@ -34,6 +34,20 @@ module Trace_export = Asyncolor_obs.Trace_export
    reproduced by pasting the seed back with --seed. *)
 let announce_seed seed = Diag.printf "effective seed: %d\n" seed
 
+(* Bad input found once a command is running (an unknown workload name, an
+   unsupported algorithm, a malformed --chaos spec, ...) is reported the
+   way cmdliner reports a bad option: one "asyncolor: ..." line and exit
+   124.  Only [Usage] is caught, so a genuine bug still ends as cmdliner's
+   internal error (exit 125). *)
+exception Usage of string
+
+let usage fmt = Printf.ksprintf (fun m -> raise (Usage m)) fmt
+
+let float_arg ~what s =
+  match float_of_string_opt s with
+  | Some x -> x
+  | None -> usage "%s: %S is not a number" what s
+
 let make_idents ~kind ~seed n =
   match kind with
   | "increasing" -> Idents.increasing n
@@ -42,7 +56,7 @@ let make_idents ~kind ~seed n =
   | "random" -> Idents.random_permutation (Prng.create ~seed) n
   | "sparse" -> Idents.random_sparse (Prng.create ~seed) ~n ~universe:(max 64 (n * n))
   | "bit-adversarial" -> Idents.bit_adversarial n
-  | k -> failwith (Printf.sprintf "unknown identifier workload %S" k)
+  | k -> usage "unknown identifier workload %S" k
 
 let make_adversary ~kind ~seed ~n =
   match String.split_on_char ':' kind with
@@ -52,16 +66,17 @@ let make_adversary ~kind ~seed ~n =
   | [ "singletons" ] -> Adversary.singletons (Prng.create ~seed)
   | [ "staircase" ] -> Adversary.staircase
   | [ "waves" ] -> Adversary.alternating_waves
-  | [ "random"; p ] -> Adversary.random_subsets (Prng.create ~seed) ~p:(float_of_string p)
+  | [ "random"; p ] ->
+      Adversary.random_subsets (Prng.create ~seed) ~p:(float_arg ~what:kind p)
   | [ "crash"; rate ] ->
-      Adversary.random_crashes (Prng.create ~seed) ~n ~rate:(float_of_string rate)
+      Adversary.random_crashes (Prng.create ~seed) ~n
+        ~rate:(float_arg ~what:kind rate)
         ~horizon:20 (Adversary.random_subsets (Prng.create ~seed:(seed + 1)) ~p:0.7)
   | _ ->
-      failwith
-        (Printf.sprintf
-           "unknown adversary %S (try sync, seq, rr, singletons, staircase, waves, \
-            random:P, crash:RATE)"
-           kind)
+      usage
+        "unknown adversary %S (try sync, seq, rr, singletons, staircase, waves, \
+         random:P, crash:RATE)"
+        kind
 
 let make_graph ~kind ~seed n =
   match kind with
@@ -72,15 +87,14 @@ let make_graph ~kind ~seed n =
   | "petersen" -> Builders.petersen ()
   | "hypercube" -> Builders.hypercube n
   | "random3" -> Builders.random_regular (Prng.create ~seed) ~n ~d:3
-  | k -> failwith (Printf.sprintf "unknown graph %S" k)
+  | k -> usage "unknown graph %S" k
 
 (* The claims entry of [-a N], for a command that supports algorithms
    [1..upto]. *)
 let lookup ~cmd ~upto alg =
   match Claims.find (string_of_int alg) with
   | Some e when alg <= upto -> e
-  | _ ->
-      failwith (Printf.sprintf "%s supports algorithms 1-%d, not %d" cmd upto alg)
+  | _ -> usage "%s supports algorithms 1-%d, not %d" cmd upto alg
 
 (* One run, its colouring judged against the algorithm's claimed palette. *)
 let show_run (type o) (c : o Claims.t) ~on_cycle ~graph ~idents ~adv ~max_steps
@@ -121,6 +135,18 @@ let show_run (type o) (c : o Claims.t) ~on_cycle ~graph ~idents ~adv ~max_steps
     exit 1)
 
 open Cmdliner
+
+(* A subcommand whose [term] yields its body, run once every option has
+   parsed; a [Usage] raised in the body becomes a cmdliner usage error. *)
+let cmd name ~doc term =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      ret
+        (const (fun body ->
+             match body () with
+             | () -> `Ok ()
+             | exception Usage m -> `Error (false, m))
+        $ term))
 
 let alg_arg =
   Arg.(value & opt int 3 & info [ "a"; "algorithm" ] ~docv:"N" ~doc:"Algorithm 1-4.")
@@ -199,7 +225,11 @@ let kappa_arg =
 let make_policy ~policy ~kappa ~jobs =
   match policy with
   | "auto" -> None
-  | s -> Some (Asyncolor_util.Executor.policy_of_string ~kappa ~jobs s)
+  | s -> (
+      match Asyncolor_util.Executor.policy_of_string ~kappa ~jobs s with
+      | p -> Some p
+      | exception Invalid_argument _ ->
+          usage "--exec-policy: unknown policy %S (auto, serial, sync, async)" s)
 
 let time_budget_arg =
   Arg.(
@@ -323,20 +353,23 @@ let parse_chaos ~obs = function
               let k = String.sub kv 0 i
               and v = String.sub kv (i + 1) (String.length kv - i - 1) in
               match k with
-              | "seed" -> seed := Some (int_of_string v)
-              | "rate" -> rate := Some (float_of_string v)
-              | _ -> failwith (Printf.sprintf "--chaos: unknown key %S" k))
-          | None -> failwith "--chaos expects seed:N,rate:R")
+              | "seed" -> (
+                  match int_of_string_opt v with
+                  | Some x -> seed := Some x
+                  | None -> usage "--chaos: seed %S is not an integer" v)
+              | "rate" -> rate := Some (float_arg ~what:"--chaos: rate" v)
+              | _ -> usage "--chaos: unknown key %S" k)
+          | None -> usage "--chaos expects seed:N,rate:R")
         (String.split_on_char ',' spec);
       let seed =
         match !seed with
         | Some s -> s
-        | None -> failwith "--chaos: missing seed:N"
+        | None -> usage "--chaos: missing seed:N"
       in
       let rate =
         match !rate with
         | Some r -> r
-        | None -> failwith "--chaos: missing rate:R"
+        | None -> usage "--chaos: missing rate:R"
       in
       Chaos.create ~obs ~rate ~seed ()
 
@@ -379,7 +412,7 @@ let memory_pressure_line ?spill () =
 
 let run_cmd =
   let doc = "run one execution and print the colouring" in
-  let f alg n seed idents_kind adv_kind graph_kind max_steps verbose =
+  let f alg n seed idents_kind adv_kind graph_kind max_steps verbose () =
     announce_seed seed;
     let graph = make_graph ~kind:graph_kind ~seed n in
     let n = Graph.n graph in
@@ -389,7 +422,7 @@ let run_cmd =
     show_run c ~on_cycle:(graph_kind = "cycle") ~graph ~idents ~adv ~max_steps
       ~verbose
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  cmd "run" ~doc
     Term.(
       const f $ alg_arg $ n_arg $ seed_arg $ idents_arg $ adv_arg $ graph_arg
       $ max_steps_arg $ verbose_arg)
@@ -402,7 +435,7 @@ let sweep_cmd =
       & opt (list int) [ 4; 8; 16; 32; 64; 128 ]
       & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Cycle sizes.")
   in
-  let f alg seed idents_kind sizes jobs =
+  let f alg seed idents_kind sizes jobs () =
     announce_seed seed;
     (* Each size is one self-contained cell: it builds its own graph,
        identifiers and (seed-derived) adversary suite, so the cells fan
@@ -427,7 +460,7 @@ let sweep_cmd =
     List.iter (Table.add_row table) rows;
     Table.print table
   in
-  Cmd.v (Cmd.info "sweep" ~doc)
+  cmd "sweep" ~doc
     Term.(const f $ alg_arg $ seed_arg $ idents_arg $ sizes_arg $ jobs_arg)
 
 let check_cmd =
@@ -535,16 +568,16 @@ let check_cmd =
   in
   let f alg idents mode max_configs jobs exec_policy kappa ckpt_path ckpt_every
       resume time_s mem_mb kill_after symmetry spill_dir spill_threshold_mb
-      chaos_spec retry_max backoff_ms trace_out metrics =
+      chaos_spec retry_max backoff_ms trace_out metrics () =
     let obs = make_obs ~trace_out ~metrics in
     let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
     let chaos = parse_chaos ~obs chaos_spec in
     let retry = make_retry ~chaos ~retry_max ~backoff_ms in
     let idents = Array.of_list idents in
     let n = Array.length idents in
-    if n < 3 then failwith "need at least 3 identifiers";
+    if n < 3 then usage "need at least 3 identifiers";
     if n > Sys.int_size - 1 then
-      failwith "too many identifiers for packed activation masks (n <= 62)";
+      usage "too many identifiers for packed activation masks (n <= 62)";
     let checkpoint = Option.map (fun p -> (p, ckpt_every)) ckpt_path in
     let budget = make_budget ~time_s ~mem_mb in
     let spill =
@@ -618,7 +651,7 @@ let check_cmd =
       (fun (v : Exp.violation) -> Format.printf "violation: %s@." v.message)
       r.safety
   in
-  Cmd.v (Cmd.info "check" ~doc)
+  cmd "check" ~doc
     Term.(
       const f $ alg_arg $ idents_csv $ mode_arg $ max_configs_arg $ jobs_arg
       $ exec_policy_arg $ kappa_arg $ checkpoint_arg $ checkpoint_every_arg
@@ -629,7 +662,7 @@ let check_cmd =
 let lockhunt_cmd =
   let doc = "attack every adjacent pair with the isolate-pair schedule (finding F1)" in
   let f alg n seed idents_kind jobs exec_policy kappa time_s mem_mb chaos_spec
-      retry_max backoff_ms trace_out metrics =
+      retry_max backoff_ms trace_out metrics () =
     announce_seed seed;
     let obs = make_obs ~trace_out ~metrics in
     let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
@@ -680,7 +713,7 @@ let lockhunt_cmd =
     Table.print table;
     finish_obs obs ~trace_out ~metrics
   in
-  Cmd.v (Cmd.info "lockhunt" ~doc)
+  cmd "lockhunt" ~doc
     Term.(
       const f $ alg_arg $ n_arg $ seed_arg $ idents_arg $ jobs_arg
       $ exec_policy_arg $ kappa_arg $ time_budget_arg $ mem_budget_arg
@@ -741,7 +774,7 @@ let fuzz_cmd =
   in
   let f seed execs max_n algos mutant corpus min_out jobs exec_policy kappa
       time_s mem_mb chaos_spec retry_max backoff_ms list_mutants trace_out
-      metrics =
+      metrics () =
     if list_mutants then
       List.iter
         (fun (i : Fz.Mutation.info) ->
@@ -755,9 +788,14 @@ let fuzz_cmd =
           (fun a ->
             match Fz.Scenario.algo_of_string a with
             | Some algo -> algo
-            | None -> failwith (Printf.sprintf "unknown algorithm %S (1, 2, 2s, 3)" a))
+            | None -> usage "unknown algorithm %S (1, 2, 2s, 3)" a)
           algos
       in
+      Option.iter
+        (fun m ->
+          if Fz.Mutation.find m = None then
+            usage "unknown mutant %S (see --list-mutants)" m)
+        mutant;
       let budget = make_budget ~time_s ~mem_mb in
       let obs = make_obs ~trace_out ~metrics in
       let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
@@ -818,7 +856,7 @@ let fuzz_cmd =
       | None, [] -> ()
     end
   in
-  Cmd.v (Cmd.info "fuzz" ~doc)
+  cmd "fuzz" ~doc
     Term.(
       const f $ seed_arg $ execs_arg $ max_n_arg $ algos_arg $ mutant_arg
       $ corpus_arg $ min_out_arg $ jobs_arg $ exec_policy_arg $ kappa_arg
@@ -909,7 +947,7 @@ let churn_cmd =
   in
   let f algo n horizon crash_rate recover_rate burst sessions seed jobs
       exec_policy kappa mutant list_mutants save_trace replay trace_out metrics
-      =
+      () =
     if list_mutants then
       List.iter
         (fun b ->
@@ -939,20 +977,14 @@ let churn_cmd =
           let algo =
             match Churn.Session.algo_of_string algo with
             | Some a -> a
-            | None ->
-                failwith
-                  (Printf.sprintf "churn supports algorithms 2 and 3, not %S"
-                     algo)
+            | None -> usage "churn supports algorithms 2 and 3, not %S" algo
           in
           let bug =
             Option.map
               (fun name ->
                 match Churn.Session.bug_of_string name with
                 | Some b -> b
-                | None ->
-                    failwith
-                      (Printf.sprintf
-                         "unknown recovery bug %S (see --list-mutants)" name))
+                | None -> usage "unknown recovery bug %S (see --list-mutants)" name)
               mutant
           in
           let cfg =
@@ -995,7 +1027,7 @@ let churn_cmd =
           | None, [] -> ()
     end
   in
-  Cmd.v (Cmd.info "churn" ~doc)
+  cmd "churn" ~doc
     Term.(
       const f $ algo_arg $ churn_n_arg $ horizon_arg $ crash_rate_arg
       $ recover_rate_arg $ burst_arg $ sessions_arg $ seed_arg $ jobs_arg
@@ -1020,7 +1052,7 @@ let replay_cmd =
              re-executed byte-identically; exit 0 iff the recorded violations \
              reproduce, 1 on mismatch, 2 on a corrupt file.")
   in
-  let f alg n seed idents_kind sched trace verbose =
+  let f alg n seed idents_kind sched trace verbose () =
     match (trace, sched) with
     | Some path, None -> (
         match Fz.Trace.load path with
@@ -1039,13 +1071,18 @@ let replay_cmd =
     | None, Some sched ->
         let graph = Builders.cycle n in
         let idents = make_idents ~kind:idents_kind ~seed n in
-        let adv = Adversary.finite (Adversary.parse sched) in
+        let adv =
+          match Adversary.parse sched with
+          | s -> Adversary.finite s
+          | exception Invalid_argument _ ->
+              usage "--schedule: malformed schedule %S" sched
+        in
         let (Claims.Entry c) = lookup ~cmd:"replay" ~upto:4 alg in
         show_run c ~on_cycle:true ~graph ~idents ~adv ~max_steps:1_000_000
           ~verbose
-    | _ -> failwith "replay needs exactly one of --schedule and --trace"
+    | _ -> usage "replay needs exactly one of --schedule and --trace"
   in
-  Cmd.v (Cmd.info "replay" ~doc)
+  cmd "replay" ~doc
     Term.(
       const f $ alg_arg $ n_arg $ seed_arg $ idents_arg $ sched_arg $ trace_arg
       $ verbose_arg)
@@ -1058,7 +1095,7 @@ let tracecheck_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"PATH" ~doc:"Trace file to validate.")
   in
-  let f path =
+  let f path () =
     (* Same spirit as Checkpoint's digest check, for an artifact whose
        reader (Perfetto) we do not control: reject truncation or
        corruption with a one-line reason.  Exit 0 valid, 2 invalid. *)
@@ -1068,30 +1105,46 @@ let tracecheck_cmd =
         Printf.eprintf "invalid trace %s: %s\n" path msg;
         exit 2
   in
-  Cmd.v (Cmd.info "tracecheck" ~doc) Term.(const f $ path_arg)
+  cmd "tracecheck" ~doc Term.(const f $ path_arg)
 
 let experiments_cmd =
-  let doc = "run the reproduction experiments (E1-E13)" in
+  let doc = "run the reproduction experiments (E1-E18)" in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes.") in
   let only_arg =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"ID" ~doc:"Run one experiment.")
   in
-  let f quick only jobs =
-    match only with
-    | None ->
-        let outcomes = Asyncolor_experiments.Registry.run_all ~quick ~jobs () in
-        if not (Asyncolor_experiments.Outcome.all_ok outcomes) then exit 1
-    | Some id -> (
-        match Asyncolor_experiments.Registry.find id with
-        | None ->
-            Printf.eprintf "no experiment %S\n" id;
-            exit 2
-        | Some e ->
-            let outcome = e.run ~quick () in
-            Asyncolor_experiments.Outcome.print outcome;
-            if not outcome.ok then exit 1)
+  let csv_arg =
+    Arg.(
+      value
+      & opt (some dir) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:
+            "Also write every table as CSV into the existing directory DIR, \
+             one $(i,<id>_<caption>.csv) file per table.")
   in
-  Cmd.v (Cmd.info "experiments" ~doc) Term.(const f $ quick_arg $ only_arg $ jobs_arg)
+  let f quick only csv jobs () =
+    let outcomes =
+      match only with
+      | None -> Asyncolor_experiments.Registry.run_all ~quick ~jobs ()
+      | Some id -> (
+          match Asyncolor_experiments.Registry.find id with
+          | None -> usage "no experiment %S" id
+          | Some e ->
+              let outcome = e.run ~quick () in
+              Asyncolor_experiments.Outcome.print outcome;
+              [ outcome ])
+    in
+    Option.iter
+      (fun dir ->
+        let written =
+          List.concat_map (Asyncolor_experiments.Outcome.write_csvs ~dir) outcomes
+        in
+        Diag.printf "wrote %d CSV files to %s\n" (List.length written) dir)
+      csv;
+    if not (Asyncolor_experiments.Outcome.all_ok outcomes) then exit 1
+  in
+  cmd "experiments" ~doc
+    Term.(const f $ quick_arg $ only_arg $ csv_arg $ jobs_arg)
 
 let () =
   let doc = "wait-free colouring of the asynchronous cycle (PODC 2022 reproduction)" in

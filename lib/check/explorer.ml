@@ -136,12 +136,7 @@ type orbit_stats = {
 module Make (P : Asyncolor_kernel.Protocol.S) = struct
   module E = Asyncolor_kernel.Engine.Make (P)
 
-  module Tbl = Asyncolor_util.Sharded_tbl.Make (struct
-    type t = E.key
-
-    let equal = E.key_equal
-    let hash = E.key_hash
-  end)
+  module Tbl = E.Key_tbl
 
   module CMap = Map.Make (struct
     type t = E.config
@@ -752,9 +747,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Obs.Gauge.max_ params.octx.og_spill_levels (Spill.levels_on_disk sp)
 
   (* Live-heap high-water mark, sampled every 1024 merge boundaries (and
-     once at the end of the run) — the number the bench's
-     [peak_live_words] field and the CLI's spill-pressure diagnostics
-     read back.  [Gc.quick_stat] reads cached GC state, no heap walk. *)
+     once at the end of the run), exported as the
+     [explorer.peak_heap_words] gauge.  [Gc.quick_stat] reads cached GC
+     state, no heap walk. *)
   let sample_heap ~params ticks =
     incr ticks;
     if !ticks land 1023 = 0 && Obs.enabled params.octx.o then
@@ -1112,7 +1107,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
   let explore_packed ~params ?policy ~jobs graph ~idents =
     let st = fresh_state ?spill_threshold:(Option.map snd params.spill) () in
-    let tbl = Tbl.create ~shards:16 1024 in
+    let tbl = Tbl.create 1024 in
     let engine = E.create graph ~idents in
     let initial = E.snapshot engine in
     (* The all-asleep root is fixed by every ident-preserving
@@ -1281,7 +1276,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       }
     in
     let st = state_of_ckpt ?spill_threshold:(Option.map snd spill) c in
-    let tbl = Tbl.create ~shards:16 (max 1024 (2 * c.ck_next_id)) in
+    let tbl = Tbl.create (max 1024 (2 * c.ck_next_id)) in
     Array.iteri
       (fun id kdata -> Tbl.add tbl (E.key_of_data kdata) id)
       c.ck_keys;

@@ -268,8 +268,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ["explorer.canon_ns"]; spilling adds ["spill.bytes_written"] /
       ["spill.bytes_read"] and the ["spill.levels_on_disk"] gauge; and
       ["explorer.peak_heap_words"] tracks the live-heap high-water mark
-      sampled at merge boundaries — the number the bench's
-      [peak_live_words] field reports.  The
+      sampled at merge boundaries.  The
       [`Reference] oracle is deliberately uninstrumented — its counters
       stay 0 — so differential tests compare protocol behaviour, not
       plumbing.

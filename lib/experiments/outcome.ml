@@ -34,31 +34,4 @@ let write_csvs ~dir t =
       path)
     t.tables
 
-let to_json t =
-  let module J = Asyncolor_util.Jsonout in
-  let module Table = Asyncolor_workload.Table in
-  let table_json (caption, table) =
-    let headers = Table.headers table in
-    J.Obj
-      [
-        ("caption", J.String caption);
-        ("headers", J.List (List.map (fun h -> J.String h) headers));
-        ( "rows",
-          J.List
-            (List.map
-               (fun row ->
-                 J.Obj (List.map2 (fun h cell -> (h, J.String cell)) headers row))
-               (Table.rows table)) );
-      ]
-  in
-  J.Obj
-    [
-      ("id", J.String t.id);
-      ("title", J.String t.title);
-      ("claim", J.String t.claim);
-      ("ok", J.Bool t.ok);
-      ("tables", J.List (List.map table_json t.tables));
-      ("notes", J.List (List.map (fun n -> J.String n) t.notes));
-    ]
-
 let all_ok = List.for_all (fun t -> t.ok)

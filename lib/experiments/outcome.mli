@@ -16,9 +16,4 @@ val write_csvs : dir:string -> t -> string list
 (** Write each table of the outcome to [dir/<id>_<caption-slug>.csv];
     returns the paths written.  [dir] must exist. *)
 
-val to_json : t -> Asyncolor_util.Jsonout.t
-(** The whole outcome as one JSON object: id, title, claim, verdict,
-    every table row as a header-keyed record, and the notes.  Used by the
-    bench driver's [--json] mode. *)
-
 val all_ok : t list -> bool

@@ -92,8 +92,7 @@ let metrics_table t =
 (* --- validation ------------------------------------------------------- *)
 
 (* A strict, minimal JSON reader — just enough structure to check that a
-   trace file is what a viewer will accept.  Kept private to this module;
-   the repo's emission-only Jsonout stays emission-only. *)
+   trace file is what a viewer will accept.  Kept private to this module. *)
 type json =
   | Jnull
   | Jbool of bool

@@ -8,8 +8,8 @@
       counter/gauge — loadable in [chrome://tracing] and Perfetto.
       Timestamps are microseconds relative to the sink's clock.
     - {b Flat metrics table} ({!metrics_table}): one [name value] line
-      per counter/gauge, sorted by name — the form appended to the bench
-      driver's [--json] output and printed by the CLI's [--metrics].
+      per counter/gauge, sorted by name — the form printed by the CLI's
+      [--metrics].
 
     Both renderings are pure functions of the sink's contents: under a
     {!Clock.virtual_} clock a fixed program exports byte-identical

@@ -732,47 +732,6 @@ let test_ring_fifo_window () =
     (Invalid_argument "Ring.get: position 600 outside [400, 600)") (fun () ->
       ignore (Ring.get r 600))
 
-(* --- Sharded_tbl ----------------------------------------------------- *)
-
-module Int_tbl = Asyncolor_util.Sharded_tbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-let test_sharded_tbl_basics () =
-  let t = Int_tbl.create ~shards:3 16 in
-  check Alcotest.int "shard count rounds up to a power of two" 4
-    (Int_tbl.shards t);
-  for k = 0 to 999 do
-    Int_tbl.add t k (k * 7)
-  done;
-  check Alcotest.int "length sums the shards" 1_000 (Int_tbl.length t);
-  check Alcotest.(option int) "find_opt routes to the owner" (Some 4_900)
-    (Int_tbl.find_opt t 700);
-  check Alcotest.(option int) "absent key" None (Int_tbl.find_opt t 1_000);
-  let lens = Int_tbl.shard_lengths t in
-  check Alcotest.int "shard_lengths sum to length" 1_000
-    (Array.fold_left ( + ) 0 lens);
-  check Alcotest.bool "hash spreads over shards" true
-    (Array.for_all (fun l -> l > 0) lens)
-
-let test_sharded_tbl_explicit_shard () =
-  let t = Int_tbl.create ~shards:4 4 in
-  List.iter
-    (fun k ->
-      let shard = Int_tbl.shard_of t k in
-      Int_tbl.add_in t ~shard k (k + 1);
-      check Alcotest.(option int) "find_opt_in own shard" (Some (k + 1))
-        (Int_tbl.find_opt_in t ~shard k);
-      check Alcotest.(option int) "plain find_opt agrees" (Some (k + 1))
-        (Int_tbl.find_opt t k))
-    [ 0; 17; 123_456; max_int ];
-  let seen = ref [] in
-  Int_tbl.iter (fun k v -> seen := (k, v) :: !seen) t;
-  check Alcotest.int "iter visits every binding" 4 (List.length !seen)
-
 (* --- Level_log -------------------------------------------------------- *)
 
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
@@ -872,36 +831,6 @@ let test_level_log_empty_tail_never_seals () =
   | _ -> Alcotest.fail "threshold 0 seals any non-empty tail");
   check Alcotest.bool "tail empty again" true (Level_log.seal l = None)
 
-(* --- Jsonout -------------------------------------------------------- *)
-
-module Jsonout = Asyncolor_util.Jsonout
-
-let test_json_escaping () =
-  let s =
-    Jsonout.to_string
-      (Jsonout.Obj
-         [
-           ("k\"ey", Jsonout.String "line\nbreak\ttab \\ \x01");
-           ("nums", Jsonout.List [ Jsonout.Int 3; Jsonout.Float 1.5; Jsonout.Null ]);
-           ("b", Jsonout.Bool true);
-           ("empty", Jsonout.Obj []);
-         ])
-  in
-  check Alcotest.bool "escapes quote" true
-    (Astring.String.is_infix ~affix:"\"k\\\"ey\"" s);
-  check Alcotest.bool "escapes newline" true
-    (Astring.String.is_infix ~affix:"line\\nbreak\\ttab \\\\ \\u0001" s);
-  check Alcotest.bool "float has a dot" true (Astring.String.is_infix ~affix:"1.5" s);
-  check Alcotest.bool "null" true (Astring.String.is_infix ~affix:"null" s)
-
-let test_json_float_forms () =
-  check Alcotest.string "integral float gets .0" "2.0"
-    (String.trim (Jsonout.to_string (Jsonout.Float 2.)));
-  check Alcotest.string "nan is null" "null"
-    (String.trim (Jsonout.to_string (Jsonout.Float Float.nan)));
-  check Alcotest.string "inf is null" "null"
-    (String.trim (Jsonout.to_string (Jsonout.Float Float.infinity)))
-
 let () =
   Alcotest.run "util"
     [
@@ -999,12 +928,6 @@ let () =
         ] );
       ( "ring",
         [ Alcotest.test_case "absolute-position FIFO" `Quick test_ring_fifo_window ] );
-      ( "sharded_tbl",
-        [
-          Alcotest.test_case "basics" `Quick test_sharded_tbl_basics;
-          Alcotest.test_case "explicit shards" `Quick
-            test_sharded_tbl_explicit_shard;
-        ] );
       ( "level_log",
         [
           Alcotest.test_case "plain vector without threshold" `Quick
@@ -1019,10 +942,5 @@ let () =
             test_level_log_negative_threshold;
           Alcotest.test_case "empty tail never seals" `Quick
             test_level_log_empty_tail_never_seals;
-        ] );
-      ( "jsonout",
-        [
-          Alcotest.test_case "escaping" `Quick test_json_escaping;
-          Alcotest.test_case "float forms" `Quick test_json_float_forms;
         ] );
     ]
